@@ -16,7 +16,7 @@ import sys
 from .connections import colon_quadrics
 from .graphs import Graph, Graph6Error, parse_graph6
 from .homology import betti_table, regularity
-from .linquot import find_lq_ordering, is_lq_ordering
+from .linquot import SearchCapExceeded, find_lq_ordering, is_lq_ordering
 from .monomials import MonomialIdeal
 from .polymatroid import is_equigenerated, is_matroidal, is_polymatroidal
 from .powers import bounded_power, delta
@@ -232,12 +232,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (command, op) -> the flag that op cannot run without
+_REQUIRED_FLAGS = {
+    ("ideal", "restrict"): "c",
+    ("ideal", "colon"): "u",
+    ("lq", "check"): "order",
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    flag = _REQUIRED_FLAGS.get((args.command, getattr(args, "op", None)))
+    if flag and getattr(args, flag) is None:
+        parser.error(f"{args.command} {args.op} requires --{flag}")
     try:
         return args.func(args)
-    except (ValueError, Graph6Error, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, Graph6Error, OSError, json.JSONDecodeError, KeyError,
+            SearchCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,27 +2,31 @@
 Castelnuovo-Mumford regularity.
 
 Betti numbers of a monomial ideal are read off reduced homology of upper
-Koszul complexes at the multidegrees of the lcm lattice.  Homology ranks come
-from exact ranks of boundary matrices: integer fraction-free elimination for
-characteristic 0, modular elimination for prime characteristic.  Two further
-routes to the same table exist for cross-validation: restriction-complex
-homology on squarefree ideals and the degreewise strands of the full
-generator-subset resolution.
+Koszul complexes at the multidegrees of the lcm lattice.  Each upper Koszul
+complex is built from its facets, one per generator dividing the multidegree
+(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34), and closed
+downward over bitmasks of the support.  Homology ranks come from exact ranks
+of boundary matrices: integer fraction-free elimination for characteristic 0,
+modular elimination for prime characteristic.  Two further routes to the
+same table exist for cross-validation: restriction-complex homology on
+squarefree ideals and the degreewise strands of the full generator-subset
+resolution.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd as _gcd
+from math import gcd as _gcd, isqrt
+from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from .monomials import (
     Monomial,
     MonomialIdeal,
+    _check_monomial,
     degree,
     lcm,
-    minimalize,
     support,
 )
 
@@ -86,16 +90,23 @@ class SimplicialComplex:
         return f"SimplicialComplex({self.all_faces()!r})"
 
 
+def check_characteristic(char: int) -> None:
+    """Raise ValueError unless ``char`` is 0 or a prime."""
+    if char != 0 and (char < 2 or any(char % d == 0 for d in range(2, isqrt(char) + 1))):
+        raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+
+
 def rank_of_rows(rows: Iterable[Mapping[int, int]], char: int = 0) -> int:
     """Exact rank of a sparse integer matrix given as rows {column: value}.
 
     char 0 works over the rationals with integer fraction-free row operations
     (each updated row is rescaled by its content); char p reduces modulo p.
-    Pivots prefer unit entries with low fill.
+    Pivots prefer unit entries with low fill; column counts are kept up to
+    date as rows are eliminated.
     """
-    if char < 0 or char == 1:
-        raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+    check_characteristic(char)
     work: list[dict[int, int]] = []
+    colcount: dict[int, int] = {}
     for row in rows:
         if char:
             r = {c: v % char for c, v in row.items() if v % char}
@@ -103,29 +114,41 @@ def rank_of_rows(rows: Iterable[Mapping[int, int]], char: int = 0) -> int:
             r = {c: v for c, v in row.items() if v}
         if r:
             work.append(r)
-    rank = 0
-    while work:
-        colcount: dict[int, int] = {}
-        for r in work:
             for c in r:
                 colcount[c] = colcount.get(c, 0) + 1
+    rank = 0
+    while work:
+        # Markowitz pivot: least fill (len(r) - 1) * (colcount - 1); over Q a
+        # non-unit entry ranks after every unit one.  A fill-free unit entry
+        # cannot be beaten, so the scan stops there.
+        nonunit = 0 if char else len(work) * len(colcount)
         best = None
         for idx, r in enumerate(work):
+            row_fill = len(r) - 1
             for c, v in r.items():
-                unit = 0 if (abs(v) == 1 or char) else 1
-                key = (unit, (len(r) - 1) * (colcount[c] - 1), len(r), idx, c)
+                key = row_fill * (colcount[c] - 1)
+                if v != 1 and v != -1:
+                    key += nonunit
                 if best is None or key < best[0]:
                     best = (key, idx, c)
+                    if not key:
+                        break
+            if not best[0]:
+                break
         _, pidx, pcol = best
         pivot = work.pop(pidx)
         pval = pivot[pcol]
         rank += 1
+        for c in pivot:
+            colcount[c] -= 1
         nxt: list[dict[int, int]] = []
         for r in work:
             rv = r.get(pcol)
             if rv is None:
                 nxt.append(r)
                 continue
+            for c in r:
+                colcount[c] -= 1
             if char:
                 factor = rv * pow(pval, char - 2, char) % char
                 new = {}
@@ -154,6 +177,8 @@ def rank_of_rows(rows: Iterable[Mapping[int, int]], char: int = 0) -> int:
                     new = {c: v // content for c, v in new.items()}
             if new:
                 nxt.append(new)
+                for c in new:
+                    colcount[c] = colcount.get(c, 0) + 1
         work = nxt
     return rank
 
@@ -259,23 +284,32 @@ def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, PolarizationMap]:
 
 
 def upper_koszul(ideal: MonomialIdeal, m: Monomial) -> SimplicialComplex:
-    """The complex on supp(m) whose faces are the subsets one can divide out of
-    m while staying in the ideal; its reduced homology in degree i-1 is the
-    Betti number of the ideal at (i, m)."""
-    if not ideal.contains(m):
-        raise ValueError("multidegree is not a member of the ideal")
+    """The complex on supp(m) whose faces are the subsets sigma with
+    m - e_sigma in the ideal; its reduced homology in degree i-1 is the Betti
+    number of the ideal at (i, m).
+
+    Built from its facets (Miller-Sturmfels, Combinatorial Commutative
+    Algebra, Thm 1.34): m - e_sigma is a member iff some generator g dividing
+    m has g_i < m_i on all of sigma, so each such g gives the facet
+    {i in supp(m) : g_i < m_i}, and the faces are their subsets.
+    """
+    m = _check_monomial(ideal.n, m)
     supp = support(m)
-    faces = []
-    for mask in range(1 << len(supp)):
-        quotient = list(m)
-        sigma = []
-        for t, v in enumerate(supp):
-            if mask >> t & 1:
-                sigma.append(v)
-                quotient[v - 1] -= 1
-        if ideal.contains(tuple(quotient)):
-            faces.append(tuple(sigma))
-    return SimplicialComplex(faces)
+    facets = set()
+    for g in ideal.gens:
+        if all(map(le, g, m)):
+            facets.add(sum(1 << t for t, v in enumerate(supp) if g[v - 1] < m[v - 1]))
+    if not facets:
+        raise ValueError("multidegree is not a member of the ideal")
+    masks = {0}
+    for f in facets:
+        sub = f
+        while sub:
+            masks.add(sub)
+            sub = (sub - 1) & f
+    return SimplicialComplex(
+        tuple(v for t, v in enumerate(supp) if mask >> t & 1) for mask in masks
+    )
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
@@ -286,7 +320,7 @@ def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
         new = set()
         for a in frontier:
             for g in ideal.gens:
-                b = lcm(a, g)
+                b = tuple(map(max, a, g))
                 if b not in lattice:
                     new.add(b)
         lattice |= new
@@ -343,6 +377,7 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     summed over the multidegrees of the lcm lattice."""
     if ideal.is_zero():
         raise ValueError("the zero ideal has no Betti table")
+    check_characteristic(char)
     table: dict[tuple[int, int], int] = {}
     for m in lcm_lattice(ideal):
         ranks = reduced_homology_ranks(upper_koszul(ideal, m), char)

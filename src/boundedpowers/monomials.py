@@ -17,8 +17,6 @@ from typing import Iterable, Sequence
 Monomial = tuple[int, ...]
 BoundVector = tuple[int, ...]
 
-ONE: Monomial = ()  # the degree-0 monomial of ambient 0; use unit(n) elsewhere
-
 
 def unit(n: int) -> Monomial:
     """The monomial 1 in n variables (all-zero exponent vector)."""

@@ -21,7 +21,7 @@ from .connections import (
     has_colon_splitting_order,
 )
 from .graphs import Graph, enumerate_labeled_graphs, parse_graph6, read_graph6_file
-from .homology import has_linear_resolution, regularity
+from .homology import check_characteristic, has_linear_resolution, regularity
 from .linquot import (
     SearchCapExceeded,
     all_bounded_powers_lq,
@@ -81,6 +81,7 @@ class SuiteConfig:
             raise ValueError("explicit c policy needs c_explicit")
         if self.max_generators < 1 or self.jobs < 1:
             raise ValueError("caps and jobs must be positive")
+        check_characteristic(self.char)
 
 
 @dataclass

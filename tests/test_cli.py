@@ -175,3 +175,28 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "not-a-suite"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["ideal", "restrict"],
+        ["ideal", "colon"],
+        ["lq", "check"],
+    ])
+    def test_missing_required_flag(self, tmp_path, capsys, argv):
+        src = write(tmp_path, "i.json", '{"n": 2, "gens": [[1,1]]}')
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--in", src])
+        assert exc.value.code == 2
+        assert "requires --" in capsys.readouterr().err
+
+    def test_lq_find_over_cap(self, tmp_path, capsys):
+        src = write(tmp_path, "i.json", REMARK_IDEAL_JSON)
+        code, _, err = run(capsys, ["lq", "find", "--max-gens", "1", "--in", src])
+        assert code == 2 and "cap 1" in err
+
+    @pytest.mark.parametrize("char", ["1", "4", "-2"])
+    def test_composite_characteristic(self, tmp_path, capsys, char):
+        src = write(tmp_path, "i.json", '{"n": 2, "gens": [[1,1]]}')
+        for argv in (["ideal", "reg", "--in", src],
+                     ["verify", "--suite", "regmain", "--nmax", "2"]):
+            code, _, err = run(capsys, argv + ["--char", char])
+            assert code == 2 and "0 or a prime" in err

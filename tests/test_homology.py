@@ -33,6 +33,7 @@ from boundedpowers import (
     upper_koszul,
     variable,
 )
+from boundedpowers.homology import check_characteristic
 
 # antipodally identified icosahedron: the 6-vertex projective plane
 PROJECTIVE_PLANE_FACETS = [
@@ -141,10 +142,22 @@ class TestRankOfRows:
         assert rank_of_rows([{0: 2}], 2) == 0
 
     def test_invalid_characteristic(self):
-        with pytest.raises(ValueError):
-            rank_of_rows([{0: 1}], 1)
-        with pytest.raises(ValueError):
-            rank_of_rows([{0: 1}], -2)
+        for char in (1, 4, -2, 9):
+            with pytest.raises(ValueError, match="0 or a prime"):
+                rank_of_rows([{0: 1}], char)
+            # a principal ideal needs no rank call, so betti_table checks too
+            with pytest.raises(ValueError, match="0 or a prime"):
+                betti_table(minimalize(2, [(1, 1)]), char)
+
+    def test_check_characteristic(self):
+        valid = []
+        for char in range(-3, 30):
+            try:
+                check_characteristic(char)
+            except ValueError:
+                continue
+            valid.append(char)
+        assert valid == [0, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
     def test_matches_fraction_elimination(self):
         rng = random.Random(83)
@@ -201,6 +214,28 @@ class TestUpperKoszul:
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):
             upper_koszul(minimalize(2, [(1, 1)]), (1, 0))
+
+    def test_rejects_ambient_mismatch(self):
+        with pytest.raises(ValueError):
+            upper_koszul(minimalize(2, [(1, 1)]), (1, 1, 1))
+
+    def test_matches_definition_on_lcm_lattice(self):
+        # faces: every sigma in supp(m) with m - e_sigma in the ideal
+        rng = random.Random(113)
+        for _ in range(60):
+            ideal = random_ideal(rng, nmax=5, max_gens=5, max_exp=2)
+            for m in lcm_lattice(ideal):
+                supp = [i for i in range(1, ideal.n + 1) if m[i - 1]]
+                expected = sorted(
+                    (sigma
+                     for size in range(len(supp) + 1)
+                     for sigma in combinations(supp, size)
+                     if ideal.contains(
+                         tuple(a - (i in sigma) for i, a in enumerate(m, start=1))
+                     )),
+                    key=lambda f: (len(f), f),
+                )
+                assert upper_koszul(ideal, m).all_faces() == expected
 
 
 class TestBettiTable:

@@ -22,6 +22,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SuiteConfig(suite="essen", c_policy="explicit")
 
+    def test_composite_characteristic_rejected(self):
+        for char in (1, 4, -2):
+            with pytest.raises(ValueError, match="0 or a prime"):
+                SuiteConfig(suite="regmain", nmax=3, char=char)
+
     def test_all_suites_registered(self):
         assert set(SUITE_NAMES) == set(suites._SUITES)
 
