@@ -19,7 +19,7 @@ from .homology import betti_table, regularity
 from .linquot import SearchCapExceeded, find_lq_ordering, is_lq_ordering
 from .monomials import MonomialIdeal
 from .polymatroid import is_equigenerated, is_matroidal, is_polymatroidal
-from .powers import bounded_power, delta
+from .powers import delta
 from .suites import SUITE_NAMES, SuiteConfig, default_jobs, run_suite
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Edge, Graph, normalize_edge
-from .linquot import SearchCapExceeded, search_ordering
+from .linquot import SearchCapExceeded, _lq_pair_data, search_ordering
 from .monomials import (
     BoundVector,
     Monomial,
@@ -24,9 +24,10 @@ from .monomials import (
     _check_monomial,
     colon_mono,
     degree,
+    is_bounded,
     minimalize,
 )
-from .powers import bounded_power
+from .powers import bounded_power_chain
 
 
 @dataclass(frozen=True)
@@ -196,10 +197,12 @@ def colon_quadrics(
 ) -> MonomialIdeal:
     """The colon of (I(G)^{s+1})_c by u, assembled from quadrics.
 
-    u must be a minimal generator of (I(G)^s)_c (so in particular s <= delta);
-    it is factored into a canonical multiset of s edges, unless an explicit
-    witness ``factorization`` is supplied (the result must not depend on the
-    chosen witness; passing different ones exercises that).  The output is
+    u must be a minimal generator of (I(G)^s)_c (so in particular s <= delta).
+    That ideal is generated in the single degree 2s, where no generator divides
+    another, so u is one iff u <= c and u is a product of s graph edges.  It is
+    factored into a canonical multiset of s edges, unless an explicit witness
+    ``factorization`` of s graph edges is supplied (the result must not depend
+    on the chosen witness; passing different ones exercises that).  The output is
     generated by the monomials x_i*x_j (i = j allowed) such that u*x_i*x_j
     stays c-bounded and x_i, x_j are adjacent or even-connected with respect
     to the factorization.  Agreement with the directly computed colon ideal is
@@ -210,21 +213,16 @@ def colon_quadrics(
     u = _check_monomial(graph.n, u)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    ideal = graph.edge_ideal()
-    power_s = bounded_power(ideal, s, c)
-    if u not in power_s.gens:
-        raise ValueError("u is not a minimal generator of the s-th bounded power")
     if factorization is None:
         factorization = edge_factorization(graph, s, u)
-        assert factorization is not None  # u is a bounded product of s edges
     else:
         factorization = tuple(normalize_edge(*e) for e in factorization)
-        product = [0] * graph.n
-        for i, j in factorization:
-            product[i - 1] += 1
-            product[j - 1] += 1
-        if len(factorization) != s or tuple(product) != u:
-            raise ValueError("supplied factorization does not multiply to u")
+        degrees = Counter(v for e in factorization for v in e)
+        if (len(factorization) != s or not graph.edges.issuperset(factorization)
+                or any(degrees[v] != a for v, a in enumerate(u, 1))):
+            raise ValueError("supplied factorization is not s graph edges multiplying to u")
+    if factorization is None or not is_bounded(u, c):
+        raise ValueError("u is not a minimal generator of the s-th bounded power")
     connected = {
         a: even_connected_targets(graph, factorization, a) for a in graph.vertices()
     }
@@ -243,22 +241,23 @@ def colon_quadrics(
     return minimalize(graph.n, quadrics)
 
 
-def _admissible_range(ideal: MonomialIdeal, s: int, c: BoundVector) -> MonomialIdeal:
+def _consecutive_powers(
+    graph: Graph, s: int, c: BoundVector
+) -> tuple[MonomialIdeal, MonomialIdeal]:
+    """(I(G)^s)_c and (I(G)^{s+1})_c from one chain, for 1 <= s <= delta - 1."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    nxt = bounded_power(ideal, s + 1, c)
-    if nxt.is_zero():
+    chain = bounded_power_chain(graph.edge_ideal(), c)
+    if s >= len(chain):
         raise ValueError(f"s={s} is not below delta: next bounded power vanishes")
-    return nxt
+    return chain[s - 1], chain[s]
 
 
 def colon_generated_in_degree_two(graph: Graph, s: int, c: BoundVector) -> bool:
     """Whether every colon of the (s+1)-st bounded power by a minimal generator
     of the s-th is generated purely in degree two, for 1 <= s <= delta - 1."""
-    c = _check_monomial(graph.n, c)
-    ideal = graph.edge_ideal()
-    nxt = _admissible_range(ideal, s, c)
-    for u in bounded_power(ideal, s, c).gens:
+    power, nxt = _consecutive_powers(graph, s, c)
+    for u in power.gens:
         if any(degree(w) != 2 for w in nxt.colon(u).gens):
             return False
     return True
@@ -272,10 +271,8 @@ def has_colon_splitting_order(
     power by u_i, or some earlier u_r has u_r : u_i a variable dividing
     u_j : u_i.  Complete backtracking; refuses ideals above the generator cap.
     """
-    c = _check_monomial(graph.n, c)
-    ideal = graph.edge_ideal()
-    nxt = _admissible_range(ideal, s, c)
-    gens = bounded_power(ideal, s, c).gens
+    power, nxt = _consecutive_powers(graph, s, c)
+    gens = power.gens
     m = len(gens)
     if m > max_generators:
         raise SearchCapExceeded(
@@ -284,20 +281,9 @@ def has_colon_splitting_order(
     if m <= 1:
         return True
     colon_ideals = [nxt.colon(u) for u in gens]
-    pair_ok_free = [[False] * m for _ in range(m)]
-    supp_masks = [[0] * m for _ in range(m)]
-    var_bits = [[0] * m for _ in range(m)]
-    for j in range(m):
-        for i in range(m):
-            if i == j:
-                continue
-            w = colon_mono(gens[j], gens[i])
-            pair_ok_free[j][i] = colon_ideals[i].contains(w)
-            mask = 0
-            for p, a in enumerate(w):
-                if a > 0:
-                    mask |= 1 << p
-            supp_masks[j][i] = mask
-            if degree(w) == 1:
-                var_bits[j][i] = mask
+    pair_ok_free = [
+        [i != j and colon_ideals[i].contains(colon_mono(gens[j], gens[i])) for i in range(m)]
+        for j in range(m)
+    ]
+    supp_masks, var_bits = _lq_pair_data(power)
     return search_ordering(m, pair_ok_free, supp_masks, var_bits) is not None

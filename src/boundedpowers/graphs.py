@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .monomials import Monomial, MonomialIdeal
+from .monomials import MonomialIdeal, _is_int_rows
 
 Edge = tuple[int, int]
 
@@ -172,9 +172,10 @@ class Graph:
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         data = json.loads(text)
-        if not isinstance(data, dict) or "n" not in data or "edges" not in data:
+        if not (isinstance(data, dict) and isinstance(data.get("n"), int)
+                and _is_int_rows(data.get("edges"), 2)):
             raise ValueError('graph JSON must look like {"n": int, "edges": [[i,j],...]}')
-        return cls.from_edges(int(data["n"]), ((int(i), int(j)) for i, j in data["edges"]))
+        return cls.from_edges(data["n"], data["edges"])
 
 
 def _encode_n(n: int) -> list[int]:

@@ -22,7 +22,7 @@ from .monomials import (
     degree,
     is_bounded,
 )
-from .powers import bounded_power, delta
+from .powers import bounded_power_chain
 
 DEFAULT_GENERATOR_CAP = 24
 
@@ -115,21 +115,22 @@ def search_ordering(
 
 
 def _lq_pair_data(ideal: MonomialIdeal):
+    """Per pair (j, i): the support bitmask of gens[j] : gens[i], and the same
+    mask again in ``var_bits`` when that colon is a single variable.  Both come
+    from one pass over the exponent pairs; the generators share one ambient."""
     gens = ideal.gens
     m = len(gens)
     supp_masks = [[0] * m for _ in range(m)]
     var_bits = [[0] * m for _ in range(m)]
-    for j in range(m):
-        for i in range(m):
-            if i == j:
-                continue
-            w = colon_mono(gens[j], gens[i])
-            mask = 0
-            for p, a in enumerate(w):
-                if a > 0:
+    for j, gj in enumerate(gens):
+        for i, gi in enumerate(gens):
+            mask = deg = 0
+            for p, (a, b) in enumerate(zip(gj, gi)):
+                if a > b:
                     mask |= 1 << p
+                    deg += a - b
             supp_masks[j][i] = mask
-            if degree(w) == 1:
+            if deg == 1:
                 var_bits[j][i] = mask
     return supp_masks, var_bits
 
@@ -190,9 +191,7 @@ def all_bounded_powers_lq(
     c = _check_monomial(graph.n, c)
     if any(ci == 0 for ci in c):
         raise ValueError("all_bounded_powers_lq requires every c_i > 0")
-    ideal = graph.edge_ideal()
-    top = delta(ideal, c)
-    for s in range(1, top + 1):
-        if find_lq_ordering(bounded_power(ideal, s, c), max_generators) is None:
+    for power in bounded_power_chain(graph.edge_ideal(), c):
+        if find_lq_ordering(power, max_generators) is None:
             return False
     return True

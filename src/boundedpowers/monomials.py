@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from typing import Iterable, Sequence
 
 Monomial = tuple[int, ...]
@@ -81,6 +81,14 @@ def leq_componentwise(c1: Sequence[int], c2: Sequence[int]) -> bool:
 def _check_same_ambient(u: Sequence[int], v: Sequence[int]) -> None:
     if len(u) != len(v):
         raise ValueError(f"ambient mismatch: {len(u)} vs {len(v)}")
+
+
+def _is_int_rows(rows: object, width: int | None = None) -> bool:
+    """Whether decoded JSON is a list of lists of ints, each ``width`` long if given."""
+    return isinstance(rows, list) and all(
+        isinstance(r, list) and width in (None, len(r)) and all(isinstance(a, int) for a in r)
+        for r in rows
+    )
 
 
 def _check_monomial(n: int, u: Sequence[int]) -> Monomial:
@@ -158,9 +166,10 @@ class MonomialIdeal:
     @classmethod
     def from_json(cls, text: str) -> "MonomialIdeal":
         data = json.loads(text)
-        if not isinstance(data, dict) or "n" not in data or "gens" not in data:
+        if not (isinstance(data, dict) and isinstance(data.get("n"), int)
+                and _is_int_rows(data.get("gens"))):
             raise ValueError('ideal JSON must look like {"n": int, "gens": [[int,...],...]}')
-        return minimalize(int(data["n"]), (tuple(g) for g in data["gens"]))
+        return minimalize(data["n"], (tuple(g) for g in data["gens"]))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -171,14 +180,19 @@ class MonomialIdeal:
 def minimalize(n: int, monomials: Iterable[Sequence[int]]) -> MonomialIdeal:
     """The ideal generated by ``monomials``: drop every strictly divisible one.
 
-    The empty input yields the zero ideal.  Output generators are sorted
-    lexicographically on exponent entries.
+    A candidate is tested only against kept generators of strictly lower
+    degree.  That is enough: a proper divisor has lower degree, and two
+    distinct monomials of equal degree never divide each other, so an
+    equigenerated input (every bounded power of an edge ideal) makes no
+    divisibility test at all.  The empty input yields the zero ideal.
+    Output generators are sorted lexicographically on exponent entries.
     """
-    ms = sorted({_check_monomial(n, u) for u in monomials}, key=lambda u: (degree(u), u))
+    ms = sorted({_check_monomial(n, u) for u in monomials}, key=degree)
     kept: list[Monomial] = []
-    for u in ms:
-        if not any(divides(v, u) for v in kept):
-            kept.append(u)
+    for _, same_degree in groupby(ms, key=degree):
+        lower = tuple(kept)
+        kept.extend(u for u in same_degree
+                    if not any(all(a <= b for a, b in zip(v, u)) for v in lower))
     return MonomialIdeal(n, tuple(sorted(kept)))
 
 

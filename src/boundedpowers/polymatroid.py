@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .graphs import Graph
 from .monomials import BoundVector, MonomialIdeal, degree
-from .powers import bounded_power, delta
+from .powers import bounded_power_chain
 
 
 def is_equigenerated(ideal: MonomialIdeal) -> bool:
@@ -66,8 +66,7 @@ def is_matroidal(ideal: MonomialIdeal) -> bool:
 def top_power_is_polymatroidal(graph: Graph, c: BoundVector) -> bool:
     """Whether the highest nonvanishing bounded power of the edge ideal passes
     the exchange condition.  Errors when delta = 0 (vacuous instance)."""
-    ideal = graph.edge_ideal()
-    top = delta(ideal, c)
-    if top == 0:
+    chain = bounded_power_chain(graph.edge_ideal(), c)
+    if not chain:
         raise ValueError("delta is 0: no nonvanishing bounded power to test")
-    return is_polymatroidal(bounded_power(ideal, top, c))
+    return is_polymatroidal(chain[-1])

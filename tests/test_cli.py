@@ -200,3 +200,12 @@ class TestErrorHandling:
                      ["verify", "--suite", "regmain", "--nmax", "2"]):
             code, _, err = run(capsys, argv + ["--char", char])
             assert code == 2 and "0 or a prime" in err
+
+    @pytest.mark.parametrize("command, text", [
+        (["ideal", "reg"], '{"n":2,"gens":[1]}'),
+        (["ideal", "reg"], '{"n":2,"gens":[[1,"a"]]}'),
+        (["graph", "chordal"], '{"n":3,"edges":[1]}'),
+    ])
+    def test_malformed_json_shape(self, capsys, monkeypatch, command, text):
+        code, _, err = run(capsys, command, stdin=text, monkeypatch=monkeypatch)
+        assert code == 2 and "must look like" in err

@@ -198,6 +198,19 @@ class TestColonQuadrics:
                     assert colon_quadrics(g, s, c, u, factorization=fact) == expected
                 multi_seen += 1
 
+    def test_rejects_generator_above_bound(self):
+        # (1,1,1,1) = x1x2 * x3x4 is a product of two edges of C4, but not 1-bounded
+        with pytest.raises(ValueError, match="minimal generator"):
+            colon_quadrics(cycle_graph(4), 2, (1, 1, 0, 1), (1, 1, 1, 1))
+
+    def test_rejects_factorization_with_non_edge(self):
+        # x1x3 * x2x4 multiplies to the bounded generator (1,1,1,1), but 13 and 24
+        # are not edges of C4
+        with pytest.raises(ValueError, match="graph edges"):
+            colon_quadrics(
+                cycle_graph(4), 2, (2, 2, 2, 2), (1, 1, 1, 1), factorization=[(1, 3), (2, 4)]
+            )
+
     def test_bad_factorization_rejected(self):
         with pytest.raises(ValueError):
             colon_quadrics(

@@ -10,6 +10,7 @@ from boundedpowers import (
     SearchCapExceeded,
     all_bounded_powers_lq,
     colon_mono,
+    complete_graph,
     cycle_graph,
     degree,
     enumerate_labeled_graphs,
@@ -169,6 +170,13 @@ class TestAllBoundedPowersLQ:
     def test_c5_false(self):
         assert not all_bounded_powers_lq(cycle_graph(5), (1,) * 5)
         assert not cycle_graph(5).complement().is_chordal()
+
+    def test_cap_refusal_keeps_order_and_message(self):
+        # K4 at c = 2: the first power has 6 generators and passes; the second
+        # has 19 and is refused with that count, before any later power
+        g = complete_graph(4)
+        with pytest.raises(SearchCapExceeded, match="19 generators > cap 10"):
+            all_bounded_powers_lq(g, (2,) * 4, max_generators=10)
 
     def test_zero_component_rejected(self):
         with pytest.raises(ValueError):

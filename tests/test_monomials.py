@@ -1,5 +1,6 @@
 """Core monomial and ideal arithmetic, checked against enumeration oracles."""
 
+import random
 from itertools import product
 
 import pytest
@@ -81,6 +82,18 @@ class TestMinimalize:
         b = ideal(2, (1, 1), (0, 2))
         assert a == b
         assert list(a.gens) == sorted(a.gens)
+
+    def test_matches_definition_on_mixed_degrees(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            pool = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 6))]
+            monomials = pool + rng.choices(pool, k=len(pool) // 2)  # duplicates
+            distinct = set(monomials)
+            expected = sorted(
+                u for u in distinct if not any(v != u and divides(v, u) for v in distinct)
+            )
+            assert minimalize(n, monomials).gens == tuple(expected)
 
 
 class TestIdealOps:

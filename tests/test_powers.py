@@ -7,8 +7,10 @@ import pytest
 
 from boundedpowers import (
     Graph,
+    all_bounded_powers_lq,
     bounded_power,
     bounded_power_chain,
+    colon_quadrics,
     cycle_graph,
     complete_graph,
     delta,
@@ -17,7 +19,9 @@ from boundedpowers import (
     minimalize,
     path_graph,
     squarefree_power,
+    top_power_is_polymatroidal,
 )
+from boundedpowers import powers
 
 
 def brute_bmatching(g: Graph, c) -> int:
@@ -174,3 +178,41 @@ class TestNesting:
                 step = minimalize(ideal.n, product_gens).restrict(c)
                 for gen in chain[s].gens:
                     assert step.contains(gen)
+
+
+class TestChainReuse:
+    """Each helper builds the bounded-power chain at most once per call."""
+
+    @pytest.fixture
+    def level_builds(self, monkeypatch):
+        calls = []
+        original = powers._bounded_levels
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(powers, "_bounded_levels", counted)
+        return calls
+
+    def test_all_bounded_powers_lq_builds_one_chain(self, level_builds):
+        for g in (cycle_graph(4), cycle_graph(5), complete_graph(4), path_graph(5)):
+            level_builds.clear()
+            all_bounded_powers_lq(g, (2,) * g.n)
+            assert len(level_builds) == 1
+
+    def test_top_power_builds_one_chain(self, level_builds):
+        for g in (cycle_graph(4), complete_graph(4), path_graph(5)):
+            level_builds.clear()
+            top_power_is_polymatroidal(g, (2,) * g.n)
+            assert len(level_builds) == 1
+
+    def test_colon_quadrics_builds_no_chain(self, level_builds):
+        g = cycle_graph(5)
+        c = (2,) * 5
+        chain = bounded_power_chain(g.edge_ideal(), c)
+        level_builds.clear()
+        for s in range(1, len(chain)):
+            for u in chain[s - 1].gens:
+                colon_quadrics(g, s, c, u)
+        assert level_builds == []
