@@ -27,7 +27,6 @@ from .monomials import (
     is_bounded,
     minimalize,
 )
-from .powers import bounded_power_chain
 
 
 @dataclass(frozen=True)
@@ -241,22 +240,11 @@ def colon_quadrics(
     return minimalize(graph.n, quadrics)
 
 
-def _consecutive_powers(
-    graph: Graph, s: int, c: BoundVector
-) -> tuple[MonomialIdeal, MonomialIdeal]:
-    """(I(G)^s)_c and (I(G)^{s+1})_c from one chain, for 1 <= s <= delta - 1."""
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    chain = bounded_power_chain(graph.edge_ideal(), c)
-    if s >= len(chain):
-        raise ValueError(f"s={s} is not below delta: next bounded power vanishes")
-    return chain[s - 1], chain[s]
-
-
-def colon_generated_in_degree_two(graph: Graph, s: int, c: BoundVector) -> bool:
-    """Whether every colon of the (s+1)-st bounded power by a minimal generator
-    of the s-th is generated purely in degree two, for 1 <= s <= delta - 1."""
-    power, nxt = _consecutive_powers(graph, s, c)
+def colon_generated_in_degree_two(power: MonomialIdeal, nxt: MonomialIdeal) -> bool:
+    """Whether ``nxt : u`` is generated purely in degree two for every minimal
+    generator u of ``power``.  ``power, nxt`` are consecutive bounded powers
+    (I(G)^s)_c, (I(G)^{s+1})_c with 1 <= s <= delta - 1: ``chain[s - 1],
+    chain[s]`` of ``bounded_power_chain(graph.edge_ideal(), c)``."""
     for u in power.gens:
         if any(degree(w) != 2 for w in nxt.colon(u).gens):
             return False
@@ -264,14 +252,14 @@ def colon_generated_in_degree_two(graph: Graph, s: int, c: BoundVector) -> bool:
 
 
 def has_colon_splitting_order(
-    graph: Graph, s: int, c: BoundVector, max_generators: int = 10
+    power: MonomialIdeal, nxt: MonomialIdeal, max_generators: int = 10
 ) -> bool:
-    """Whether the generators of (I(G)^s)_c admit a labeling u_1..u_m so that
-    for every j < i, either u_j : u_i lies in the colon of the next bounded
-    power by u_i, or some earlier u_r has u_r : u_i a variable dividing
-    u_j : u_i.  Complete backtracking; refuses ideals above the generator cap.
+    """Whether the generators of ``power`` admit a labeling u_1..u_m so that
+    for every j < i, either u_j : u_i lies in ``nxt : u_i``, or some earlier
+    u_r has u_r : u_i a variable dividing u_j : u_i.  ``power, nxt`` are
+    consecutive bounded powers ``chain[s - 1], chain[s]``, 1 <= s <= delta - 1.
+    Complete backtracking; refuses ideals above the generator cap.
     """
-    power, nxt = _consecutive_powers(graph, s, c)
     gens = power.gens
     m = len(gens)
     if m > max_generators:

@@ -4,6 +4,11 @@ Each suite replays one statement as a machine-checkable property over a
 deterministic corpus and returns a replayable JSON report.  Instances that do
 not meet a statement's hypotheses (empty s-ranges, search-cap refusals) are
 reported as skips, never silently dropped and never counted as failures.
+
+Every graph statement is about one chain (I(G)^s)_c, s = 1..delta.  Each graph
+instance builds that chain once, and one code path (``_GraphSuite``) applies
+the suite's s-range and ``max_s`` to it; an s-range that ``max_s`` empties is
+reported as a skip too.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from typing import Callable, Iterable
 
 from .connections import (
     colon_generated_in_degree_two,
@@ -81,6 +88,8 @@ class SuiteConfig:
             raise ValueError("explicit c policy needs c_explicit")
         if self.max_generators < 1 or self.jobs < 1:
             raise ValueError("caps and jobs must be positive")
+        if self.max_s is not None and self.max_s < 1:
+            raise ValueError(f"max_s must be >= 1, got {self.max_s}")
         check_characteristic(self.char)
 
 
@@ -201,191 +210,141 @@ def _ideal_instances(cfg: SuiteConfig) -> list[dict]:
     return instances
 
 
-def _chain(graph: Graph, c) -> list:
-    return bounded_power_chain(graph.edge_ideal(), tuple(c))
+class _Instance:
+    """One graph instance: its graph, bound c, record key and the chain
+    (I(G)^s)_c, s = 1..delta, built at most once and only when a check asks."""
+
+    def __init__(self, payload: dict, cfg: SuiteConfig) -> None:
+        self.payload = payload
+        self.cfg = cfg
+        self.graph = parse_graph6(payload["graph6"])
+        self.c = tuple(payload["c"])
+        self.key = f"{payload['graph6']}|{_c_string(self.c)}"
+        self._regs: dict[int, int] = {}
+
+    @cached_property
+    def chain(self) -> list[MonomialIdeal]:
+        return bounded_power_chain(self.graph.edge_ideal(), self.c)
+
+    def reg(self, s: int) -> int:
+        """The regularity of (I(G)^s)_c, computed once per level."""
+        if s not in self._regs:
+            self._regs[s] = regularity(self.chain[s - 1], self.cfg.char)
+        return self._regs[s]
+
+    def record(self, ok: bool, detail: str, s: int | None = None) -> dict:
+        return _record(self.key, self.payload, "pass" if ok else "fail", detail, s)
+
+    def skip(self, detail: str, s: int | None = None) -> dict:
+        return _record(self.key, self.payload, "skip", detail, s)
 
 
-def _eval_edge_lq(payload: dict, cfg: SuiteConfig) -> list[dict]:
-    g = parse_graph6(payload["graph6"])
-    c = tuple(payload["c"])
-    key = f"{payload['graph6']}|{_c_string(c)}"
-    rhs = g.complement().is_chordal()
-    try:
-        lhs = all_bounded_powers_lq(g, c, cfg.max_generators)
-    except SearchCapExceeded as exc:
-        return [_record(key, payload, "skip", str(exc))]
-    outcome = "pass" if lhs == rhs else "fail"
-    return [_record(key, payload, outcome, f"all_powers_lq={lhs} complement_chordal={rhs}")]
+@dataclass(frozen=True)
+class _GraphSuite:
+    """A graph statement and the s-range it is checked on.
+
+    ``check(inst, s)`` returns one record.  With ``first`` None it runs once,
+    with s None, on the whole instance; otherwise once for each s from
+    ``first`` to delta - ``below_top``, capped by ``max_s``.  ``empty`` is the
+    skip detail, formatted with delta, for an instance whose s-range is empty
+    (for a whole-instance check: whose chain is empty).  A search-cap refusal
+    becomes a skip for its s.
+    """
+
+    check: Callable[[_Instance, int | None], dict]
+    empty: str | None = None
+    first: int | None = None
+    below_top: int = 0
+
+    def __call__(self, payload: dict, cfg: SuiteConfig) -> list[dict]:
+        inst = _Instance(payload, cfg)
+        s_range: Iterable[int | None] = (None,)
+        if self.first is not None:
+            delta = len(inst.chain)
+            top = delta - self.below_top
+            last = top if cfg.max_s is None else min(top, cfg.max_s)
+            if self.first > top:
+                return [inst.skip(self.empty.format(delta=delta))]
+            if self.first > last:
+                return [inst.skip(f"delta={delta} max_s={cfg.max_s}: "
+                                  f"no s with {self.first} <= s <= max_s")]
+            s_range = range(self.first, last + 1)
+        elif self.empty is not None and not inst.chain:
+            return [inst.skip(self.empty.format(delta=0))]
+        records = []
+        for s in s_range:
+            try:
+                records.append(self.check(inst, s))
+            except SearchCapExceeded as exc:
+                records.append(inst.skip(str(exc), s))
+        return records
 
 
-def _eval_essen(payload: dict, cfg: SuiteConfig) -> list[dict]:
-    g = parse_graph6(payload["graph6"])
-    c = tuple(payload["c"])
-    key = f"{payload['graph6']}|{_c_string(c)}"
-    chain = _chain(g, c)
-    if not chain:
-        return [_record(key, payload, "skip", "delta=0: no nonvanishing bounded power")]
-    top = chain[-1]
+def _check_edge_lq(inst: _Instance, s: None) -> dict:
+    rhs = inst.graph.complement().is_chordal()
+    lhs = all_bounded_powers_lq(inst.graph, inst.c, inst.cfg.max_generators)
+    return inst.record(lhs == rhs, f"all_powers_lq={lhs} complement_chordal={rhs}")
+
+
+def _check_essen(inst: _Instance, s: None) -> dict:
+    top = inst.chain[-1]
     ok = is_polymatroidal(top)
-    detail = f"delta={len(chain)} polymatroidal={ok}"
-    if ok and all(x == 1 for x in c):
+    detail = f"delta={len(inst.chain)} polymatroidal={ok}"
+    if ok and all(x == 1 for x in inst.c):
         ok = is_matroidal(top)
         detail += f" matroidal={ok}"
-    return [_record(key, payload, "pass" if ok else "fail", detail)]
+    return inst.record(ok, detail)
 
 
-def _eval_linres_top(payload: dict, cfg: SuiteConfig) -> list[dict]:
-    g = parse_graph6(payload["graph6"])
-    c = tuple(payload["c"])
-    key = f"{payload['graph6']}|{_c_string(c)}"
-    chain = _chain(g, c)
-    if not chain:
-        return [_record(key, payload, "skip", "delta=0: no nonvanishing bounded power")]
-    delta = len(chain)
-    ok = has_linear_resolution(chain[-1], cfg.char)
+def _check_linres_top(inst: _Instance, s: None) -> dict:
+    delta = len(inst.chain)
+    ok = has_linear_resolution(inst.chain[-1], inst.cfg.char)
     detail = f"delta={delta} linear_resolution={ok} (generation degree {2 * delta})"
-    return [_record(key, payload, "pass" if ok else "fail", detail, s=delta)]
+    return inst.record(ok, detail, s=delta)
 
 
-def _eval_regmain(payload: dict, cfg: SuiteConfig) -> list[dict]:
-    g = parse_graph6(payload["graph6"])
-    c = tuple(payload["c"])
-    key = f"{payload['graph6']}|{_c_string(c)}"
-    chain = _chain(g, c)
-    if not chain:
-        return [_record(key, payload, "skip", "delta=0: empty s-range")]
-    delta = len(chain)
-    records = []
-    top_s = delta if cfg.max_s is None else min(delta, cfg.max_s)
-    for s in range(1, top_s + 1):
-        reg = regularity(chain[s - 1], cfg.char)
-        ok = reg <= delta + s
-        records.append(
-            _record(key, payload, "pass" if ok else "fail",
-                    f"reg={reg} bound={delta + s}", s=s)
-        )
-    return records
+def _check_regmain(inst: _Instance, s: int) -> dict:
+    reg, bound = inst.reg(s), len(inst.chain) + s
+    return inst.record(reg <= bound, f"reg={reg} bound={bound}", s)
 
 
-def _eval_regcol(payload: dict, cfg: SuiteConfig) -> list[dict]:
-    g = parse_graph6(payload["graph6"])
-    c = tuple(payload["c"])
-    key = f"{payload['graph6']}|{_c_string(c)}"
-    chain = _chain(g, c)
-    delta = len(chain)
-    if delta <= 1:
-        return [_record(key, payload, "skip", f"delta={delta}: no s with 1 <= s <= delta-1")]
-    records = []
-    top_s = delta - 1 if cfg.max_s is None else min(delta - 1, cfg.max_s)
-    for s in range(1, top_s + 1):
-        current, nxt = chain[s - 1], chain[s]
-        lhs = regularity(nxt, cfg.char)
-        colon_regs = [regularity(nxt.colon(u), cfg.char) for u in current.gens]
-        rhs = max([r + 2 * s for r in colon_regs] + [regularity(current, cfg.char)])
-        ok = lhs <= rhs
-        records.append(
-            _record(key, payload, "pass" if ok else "fail",
-                    f"reg_next={lhs} bound={rhs}", s=s)
-        )
-    return records
+def _check_regcol(inst: _Instance, s: int) -> dict:
+    current, nxt = inst.chain[s - 1], inst.chain[s]
+    lhs = inst.reg(s + 1)
+    colon_regs = [regularity(nxt.colon(u), inst.cfg.char) for u in current.gens]
+    rhs = max([r + 2 * s for r in colon_regs] + [inst.reg(s)])
+    return inst.record(lhs <= rhs, f"reg_next={lhs} bound={rhs}", s)
 
 
-def _eval_deg2(payload: dict, cfg: SuiteConfig) -> list[dict]:
-    g = parse_graph6(payload["graph6"])
-    c = tuple(payload["c"])
-    key = f"{payload['graph6']}|{_c_string(c)}"
-    chain = _chain(g, c)
-    delta = len(chain)
-    if delta <= 1:
-        return [_record(key, payload, "skip", f"delta={delta}: no s with 1 <= s <= delta-1")]
-    records = []
-    top_s = delta - 1 if cfg.max_s is None else min(delta - 1, cfg.max_s)
-    for s in range(1, top_s + 1):
-        ok = colon_generated_in_degree_two(g, s, c)
-        records.append(
-            _record(key, payload, "pass" if ok else "fail",
-                    "all colon generators have degree 2" if ok else "colon generator of degree != 2",
-                    s=s)
-        )
-    return records
+def _check_deg2(inst: _Instance, s: int) -> dict:
+    ok = colon_generated_in_degree_two(inst.chain[s - 1], inst.chain[s])
+    detail = "all colon generators have degree 2" if ok else "colon generator of degree != 2"
+    return inst.record(ok, detail, s)
 
 
-def _eval_banerjee_colon(payload: dict, cfg: SuiteConfig) -> list[dict]:
-    g = parse_graph6(payload["graph6"])
-    c = tuple(payload["c"])
-    key = f"{payload['graph6']}|{_c_string(c)}"
-    chain = _chain(g, c)
-    delta = len(chain)
-    if delta <= 1:
-        return [_record(key, payload, "skip", f"delta={delta}: no s with 1 <= s <= delta-1")]
-    records = []
-    top_s = delta - 1 if cfg.max_s is None else min(delta - 1, cfg.max_s)
-    for s in range(1, top_s + 1):
-        current, nxt = chain[s - 1], chain[s]
-        bad = None
-        for u in current.gens:
-            direct = nxt.colon(u)
-            quadric = colon_quadrics(g, s, c, u)
-            if direct != quadric:
-                bad = (u, direct, quadric)
-                break
-        if bad is None:
-            records.append(_record(key, payload, "pass",
-                                   f"{len(current.gens)} generators agree", s=s))
-        else:
-            u, direct, quadric = bad
-            records.append(_record(
-                key, payload, "fail",
-                f"u={list(u)} direct={direct.to_json()} quadrics={quadric.to_json()}",
-                s=s))
-    return records
+def _check_banerjee_colon(inst: _Instance, s: int) -> dict:
+    current, nxt = inst.chain[s - 1], inst.chain[s]
+    for u in current.gens:
+        direct = nxt.colon(u)
+        quadric = colon_quadrics(inst.graph, s, inst.c, u)
+        if direct != quadric:
+            detail = f"u={list(u)} direct={direct.to_json()} quadrics={quadric.to_json()}"
+            return inst.record(False, detail, s)
+    return inst.record(True, f"{len(current.gens)} generators agree", s)
 
 
-def _eval_colon_reg(payload: dict, cfg: SuiteConfig) -> list[dict]:
-    g = parse_graph6(payload["graph6"])
-    c = tuple(payload["c"])
-    key = f"{payload['graph6']}|{_c_string(c)}"
-    chain = _chain(g, c)
-    delta = len(chain)
-    if delta <= 1:
-        return [_record(key, payload, "skip", f"delta={delta}: no s with 2 <= s <= delta")]
-    records = []
-    top_s = delta if cfg.max_s is None else min(delta, cfg.max_s)
-    for s in range(2, top_s + 1):
-        bound = delta - s + 2
-        bad = None
-        for u in chain[s - 2].gens:
-            reg = regularity(chain[s - 1].colon(u), cfg.char)
-            if reg > bound:
-                bad = (u, reg)
-                break
-        if bad is None:
-            records.append(_record(key, payload, "pass", f"all colon regs <= {bound}", s=s))
-        else:
-            records.append(_record(key, payload, "fail",
-                                   f"u={list(bad[0])} reg={bad[1]} bound={bound}", s=s))
-    return records
+def _check_colon_reg(inst: _Instance, s: int) -> dict:
+    bound = len(inst.chain) - s + 2
+    for u in inst.chain[s - 2].gens:
+        reg = regularity(inst.chain[s - 1].colon(u), inst.cfg.char)
+        if reg > bound:
+            return inst.record(False, f"u={list(u)} reg={reg} bound={bound}", s)
+    return inst.record(True, f"all colon regs <= {bound}", s)
 
 
-def _eval_rfirst(payload: dict, cfg: SuiteConfig) -> list[dict]:
-    g = parse_graph6(payload["graph6"])
-    c = tuple(payload["c"])
-    key = f"{payload['graph6']}|{_c_string(c)}"
-    chain = _chain(g, c)
-    delta = len(chain)
-    if delta <= 1:
-        return [_record(key, payload, "skip", f"delta={delta}: no s with 1 <= s <= delta-1")]
-    records = []
-    top_s = delta - 1 if cfg.max_s is None else min(delta - 1, cfg.max_s)
-    for s in range(1, top_s + 1):
-        try:
-            ok = has_colon_splitting_order(g, s, c, cfg.max_generators)
-        except SearchCapExceeded as exc:
-            records.append(_record(key, payload, "skip", str(exc), s=s))
-            continue
-        records.append(_record(key, payload, "pass" if ok else "fail",
-                               "labeling found" if ok else "no labeling exists", s=s))
-    return records
+def _check_rfirst(inst: _Instance, s: int) -> dict:
+    ok = has_colon_splitting_order(inst.chain[s - 1], inst.chain[s], inst.cfg.max_generators)
+    return inst.record(ok, "labeling found" if ok else "no labeling exists", s)
 
 
 def _eval_boston(payload: dict, cfg: SuiteConfig) -> list[dict]:
@@ -441,19 +400,22 @@ def _eval_remark45(payload: dict, cfg: SuiteConfig) -> list[dict]:
                     "pass" if ok else "fail", detail)]
 
 
+_NO_POWER = "delta={delta}: no nonvanishing bounded power"
+_BELOW_DELTA = "delta={delta}: no s with 1 <= s <= delta-1"
+
 _SUITES = {
     "boston": ("ideals", _eval_boston),
     "istanbul": ("ideals", _eval_istanbul),
-    "edge-lq": ("graphs-positive", _eval_edge_lq),
-    "squarefree-lq": ("graphs-ones", _eval_edge_lq),
-    "essen": ("graphs", _eval_essen),
-    "linres-top": ("graphs", _eval_linres_top),
-    "rfirst": ("graphs", _eval_rfirst),
-    "regcol": ("graphs", _eval_regcol),
-    "deg2": ("graphs", _eval_deg2),
-    "banerjee-colon": ("graphs", _eval_banerjee_colon),
-    "colon-reg": ("graphs", _eval_colon_reg),
-    "regmain": ("graphs", _eval_regmain),
+    "edge-lq": ("graphs-positive", _GraphSuite(_check_edge_lq)),
+    "squarefree-lq": ("graphs-ones", _GraphSuite(_check_edge_lq)),
+    "essen": ("graphs", _GraphSuite(_check_essen, _NO_POWER)),
+    "linres-top": ("graphs", _GraphSuite(_check_linres_top, _NO_POWER)),
+    "rfirst": ("graphs", _GraphSuite(_check_rfirst, _BELOW_DELTA, 1, below_top=1)),
+    "regcol": ("graphs", _GraphSuite(_check_regcol, _BELOW_DELTA, 1, below_top=1)),
+    "deg2": ("graphs", _GraphSuite(_check_deg2, _BELOW_DELTA, 1, below_top=1)),
+    "banerjee-colon": ("graphs", _GraphSuite(_check_banerjee_colon, _BELOW_DELTA, 1, below_top=1)),
+    "colon-reg": ("graphs", _GraphSuite(_check_colon_reg, "delta={delta}: no s with 2 <= s <= delta", 2)),
+    "regmain": ("graphs", _GraphSuite(_check_regmain, "delta={delta}: empty s-range", 1)),
     "remark45": ("fixed", _eval_remark45),
 }
 

@@ -201,6 +201,20 @@ class TestErrorHandling:
             code, _, err = run(capsys, argv + ["--char", char])
             assert code == 2 and "0 or a prime" in err
 
+    @pytest.mark.parametrize("max_s", ["0", "-3"])
+    def test_nonpositive_max_s(self, capsys, max_s):
+        code, out, err = run(capsys, ["verify", "--suite", "regmain", "--nmax", "3",
+                                      "--c-policy", "constant", "--c-value", "2",
+                                      "--max-s", max_s])
+        assert code == 2 and "max_s must be >= 1" in err and out == ""
+
+    def test_max_s_below_the_s_range_reports_skips(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--suite", "colon-reg", "--nmax", "4",
+                                    "--c-policy", "constant", "--c-value", "2",
+                                    "--max-s", "1"])
+        assert code == 0
+        assert json.loads(out)["summary"] == {"pass": 0, "fail": 0, "skip": 75, "total": 75}
+
     @pytest.mark.parametrize("command, text", [
         (["ideal", "reg"], '{"n":2,"gens":[1]}'),
         (["ideal", "reg"], '{"n":2,"gens":[[1,"a"]]}'),

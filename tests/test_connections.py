@@ -220,13 +220,8 @@ class TestColonQuadrics:
 
 class TestDegreeTwo:
     def test_path_instance(self):
-        assert colon_generated_in_degree_two(path_graph(4), 1, (1, 1, 1, 1))
-
-    def test_range_violation(self):
-        with pytest.raises(ValueError):
-            colon_generated_in_degree_two(complete_graph(2), 1, (1, 1))
-        with pytest.raises(ValueError):
-            colon_generated_in_degree_two(path_graph(4), 0, (1, 1, 1, 1))
+        chain = bounded_power_chain(path_graph(4).edge_ideal(), (1, 1, 1, 1))
+        assert colon_generated_in_degree_two(chain[0], chain[1])
 
     def test_randomized(self):
         rng = random.Random(67)
@@ -238,7 +233,7 @@ class TestDegreeTwo:
             if len(chain) < 2:
                 continue
             for s in range(1, len(chain)):
-                assert colon_generated_in_degree_two(g, s, c)
+                assert colon_generated_in_degree_two(chain[s - 1], chain[s])
             checked += 1
 
 
@@ -271,16 +266,13 @@ def brute_force_splitting_labeling(gens, colon_ideals) -> bool:
 
 class TestSplittingOrder:
     def test_single_generator(self):
-        assert has_colon_splitting_order(complete_graph(2), 1, (2, 2))
+        chain = bounded_power_chain(complete_graph(2).edge_ideal(), (2, 2))
+        assert has_colon_splitting_order(chain[0], chain[1])
 
     def test_cap_refusal(self):
-        g = complete_graph(5)
+        chain = bounded_power_chain(complete_graph(5).edge_ideal(), (2,) * 5)
         with pytest.raises(SearchCapExceeded):
-            has_colon_splitting_order(g, 1, (2,) * 5, max_generators=3)
-
-    def test_range_violation(self):
-        with pytest.raises(ValueError):
-            has_colon_splitting_order(complete_graph(2), 1, (1, 1))
+            has_colon_splitting_order(chain[0], chain[1], max_generators=3)
 
     def test_agrees_with_permutation_oracle(self):
         rng = random.Random(71)
@@ -295,7 +287,7 @@ class TestSplittingOrder:
             gens = chain[s - 1].gens
             colon_ideals = [chain[s].colon(u) for u in gens]
             expected = brute_force_splitting_labeling(gens, colon_ideals)
-            assert has_colon_splitting_order(g, s, c) == expected
+            assert has_colon_splitting_order(chain[s - 1], chain[s]) == expected
             checked += 1
 
     def test_randomized_always_exists(self):
@@ -309,7 +301,7 @@ class TestSplittingOrder:
                 continue
             for s in range(1, len(chain)):
                 try:
-                    assert has_colon_splitting_order(g, s, c, max_generators=12)
+                    assert has_colon_splitting_order(chain[s - 1], chain[s], max_generators=12)
                 except SearchCapExceeded:
                     pass
             checked += 1

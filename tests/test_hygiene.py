@@ -1,6 +1,8 @@
-"""Source hygiene: no module keeps a top-level import it never uses."""
+"""Source hygiene: no module keeps a top-level import it never uses, and no
+private top-level name outlives its last use."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,52 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _loaded_names(node: ast.AST) -> Counter:
+    """Every name read under ``node``, bare (``_f``) or as an attribute (``m._f``)."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    )
+
+
+def _private_definitions(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each private top-level function, class or assignment
+    that no code in ``sources`` reads outside its own definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = sum((_loaded_names(tree) for tree in trees.values()), Counter())
+    return [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for name in _private_definitions(node)
+        if reads[name] - _loaded_names(node)[name] <= 0
+    ]
+
+
+def test_detects_a_dead_private_name():
+    sources = {
+        "a.py": "_USED = 1\n_DEAD: int = 2\n__all__ = []\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n"
+                "class _Kept:\n    pass\n",
+        "b.py": "import a\nfrom a import _USED\nprint(_USED, a._Kept)\n",
+    }
+    assert dead_private_names(sources) == ["a.py:_DEAD", "a.py:_recursive"]
+
+
+def test_no_dead_private_name():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert dead_private_names(sources) == []

@@ -21,7 +21,6 @@ from boundedpowers import (
     squarefree_power,
     top_power_is_polymatroidal,
 )
-from boundedpowers import powers
 
 
 def brute_bmatching(g: Graph, c) -> int:
@@ -182,18 +181,6 @@ class TestNesting:
 
 class TestChainReuse:
     """Each helper builds the bounded-power chain at most once per call."""
-
-    @pytest.fixture
-    def level_builds(self, monkeypatch):
-        calls = []
-        original = powers._bounded_levels
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(powers, "_bounded_levels", counted)
-        return calls
 
     def test_all_bounded_powers_lq_builds_one_chain(self, level_builds):
         for g in (cycle_graph(4), cycle_graph(5), complete_graph(4), path_graph(5)):

@@ -8,6 +8,9 @@ import boundedpowers.suites as suites
 from boundedpowers import Graph, SuiteConfig, run_suite
 from boundedpowers.suites import SUITE_NAMES
 
+GRAPH_SUITES = [name for name, (kind, _) in suites._SUITES.items() if kind.startswith("graphs")]
+C2 = dict(c_policy="constant", c_value=2)
+
 
 class TestConfig:
     def test_unknown_suite_rejected(self):
@@ -29,6 +32,21 @@ class TestConfig:
 
     def test_all_suites_registered(self):
         assert set(SUITE_NAMES) == set(suites._SUITES)
+
+    @pytest.mark.parametrize("max_s", [0, -3])
+    def test_nonpositive_max_s_rejected(self, max_s):
+        with pytest.raises(ValueError, match="max_s must be >= 1"):
+            SuiteConfig(suite="regmain", nmax=3, max_s=max_s, **C2)
+
+    def test_max_s_below_the_s_range_is_a_skip(self):
+        # colon-reg starts at s = 2, so max_s = 1 leaves every instance without
+        # an s; each one must still be reported
+        full = run_suite(SuiteConfig(suite="colon-reg", nmax=4, **C2))
+        capped = run_suite(SuiteConfig(suite="colon-reg", nmax=4, max_s=1, **C2))
+        assert {r["key"] for r in capped.records} == {r["key"] for r in full.records}
+        assert capped.summary == {"pass": 0, "fail": 0, "skip": 75, "total": 75}
+        details = [r["detail"] for r in capped.records]
+        assert sum("max_s=1: no s with 2 <= s <= max_s" in d for d in details) == 71
 
 
 class TestFixedSuite:
@@ -160,6 +178,35 @@ class TestTheoremSuitesSmall:
             report = run_suite(SuiteConfig(suite=suite, random_count=40, seed=2))
             assert report.failed == 0, report.counterexamples[:1]
             assert report.summary["pass"] > 0
+
+
+class TestSRange:
+    @pytest.mark.parametrize("suite", ["deg2", "rfirst"])
+    def test_no_s_below_delta_is_one_skip(self, tmp_path, suite):
+        path = tmp_path / "k2.g6"
+        path.write_text(Graph.from_edges(2, [(1, 2)]).to_graph6() + "\n")
+        report = run_suite(SuiteConfig(suite=suite, graph6_path=str(path)))
+        assert [(r["outcome"], r["s"], r["detail"]) for r in report.records] == [
+            ("skip", None, "delta=1: no s with 1 <= s <= delta-1")
+        ]
+
+    @pytest.mark.parametrize("suite", GRAPH_SUITES)
+    def test_one_chain_build_per_instance(self, level_builds, suite):
+        report = run_suite(SuiteConfig(suite=suite, nmax=3, max_generators=10, **C2))
+        assert len(level_builds) == len({r["key"] for r in report.records}) == 11
+
+    def test_regcol_computes_each_level_regularity_once(self, monkeypatch):
+        seen = []  # keeps every ideal alive, so ids stay unique
+        original = suites.regularity
+
+        def recorded(ideal, *args):
+            seen.append(ideal)
+            return original(ideal, *args)
+
+        monkeypatch.setattr(suites, "regularity", recorded)
+        report = run_suite(SuiteConfig(suite="regcol", nmax=3, **C2))
+        assert any(r["s"] == 2 for r in report.records)  # some delta >= 3
+        assert len({id(ideal) for ideal in seen}) == len(seen)
 
 
 class TestCounterexamplePath:
