@@ -135,7 +135,7 @@ def _bfs_even_connections(
                     queue.append(nxt)
         else:
             # even position: next step is any edge of the graph
-            for u in sorted(graph.neighbors(vertex)):
+            for u in graph.adjacency[vertex]:
                 nxt = (u, remaining, 1)
                 if nxt not in parents:
                     parents[nxt] = (state, None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -57,8 +57,17 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return normalize_edge(i, j) in self.edges
 
+    @cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """The sorted neighbors of every vertex, built once per graph."""
+        adjacent: dict[int, list[int]] = {v: [] for v in self.vertices()}
+        for i, j in sorted(self.edges):
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+        return {v: tuple(sorted(us)) for v, us in adjacent.items()}
+
     def neighbors(self, v: int) -> set[int]:
-        return {j if i == v else i for i, j in self.edges if v in (i, j)}
+        return set(self.adjacency[v])
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -116,13 +125,13 @@ class Graph:
             v = min(unvisited, key=lambda u: (-weight[u], u))
             unvisited.remove(v)
             visit.append(v)
-            for u in self.neighbors(v):
+            for u in self.adjacency[v]:
                 if u in unvisited:
                     weight[u] += 1
         elim = list(reversed(visit))
         position = {v: k for k, v in enumerate(elim)}
         for v in elim:
-            later = [u for u in self.neighbors(v) if position[u] > position[v]]
+            later = [u for u in self.adjacency[v] if position[u] > position[v]]
             for a, b in combinations(later, 2):
                 if not self.has_edge(a, b):
                     return False
@@ -130,7 +139,7 @@ class Graph:
 
     def matching_number(self) -> int:
         """Maximum number of pairwise disjoint edges, by exact branching."""
-        adjacency = {v: sorted(self.neighbors(v)) for v in self.vertices()}
+        adjacency = self.adjacency
 
         @lru_cache(maxsize=None)
         def best(active: frozenset[int]) -> int:

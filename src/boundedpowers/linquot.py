@@ -18,6 +18,7 @@ from .monomials import (
     BoundVector,
     MonomialIdeal,
     _check_monomial,
+    _Packing,
     colon_mono,
     degree,
     is_bounded,
@@ -75,6 +76,9 @@ def search_ordering(
     contained in ``supp_masks[j][i]``.  Failed placed-sets are memoized as
     bitmasks; candidates are tried in ascending index order, so the first
     complete ordering found is the lexicographically smallest valid one.
+    Masks are only combined with ``&`` and ``|``, so their bits may stand for
+    variables in any fixed layout: ``_lq_pair_data`` puts each variable at its
+    field's guard-bit position, not at its variable index.
     """
     if m == 0:
         return ()
@@ -116,22 +120,28 @@ def search_ordering(
 
 def _lq_pair_data(ideal: MonomialIdeal):
     """Per pair (j, i): the support bitmask of gens[j] : gens[i], and the same
-    mask again in ``var_bits`` when that colon is a single variable.  Both come
-    from one pass over the exponent pairs; the generators share one ambient."""
-    gens = ideal.gens
-    m = len(gens)
-    supp_masks = [[0] * m for _ in range(m)]
-    var_bits = [[0] * m for _ in range(m)]
-    for j, gj in enumerate(gens):
-        for i, gi in enumerate(gens):
-            mask = deg = 0
-            for p, (a, b) in enumerate(zip(gj, gi)):
-                if a > b:
-                    mask |= 1 << p
-                    deg += a - b
-            supp_masks[j][i] = mask
-            if deg == 1:
-                var_bits[j][i] = mask
+    mask again in ``var_bits`` when that colon is a single variable.
+
+    Both come from packed generators (``monomials._Packing``) whose fields
+    have room for one more than the largest exponent, so no field below
+    borrows.  With guard bits H and a 1 in every field L, field k of
+    ``e = (g_j | H) - g_i - L`` keeps its guard bit iff a_k > b_k, so
+    ``e & H`` is the support mask; the colon is a variable iff that mask has
+    one bit and ``(e - L) & mask == 0``, i.e. a_k - b_k == 1.  Mask bits are
+    therefore guard-bit positions, not variable indices.
+    """
+    packing = _Packing(ideal.n, max(map(max, ideal.gens), default=0) + 1)
+    guard, ones = packing.guard, packing.ones
+    packed = [packing.pack(g) for g in ideal.gens]
+    supp_masks: list[list[int]] = []
+    var_bits: list[list[int]] = []
+    for gj in packed:
+        high = (gj | guard) - ones
+        diffs = [high - gi for gi in packed]
+        masks = [e & guard for e in diffs]
+        supp_masks.append(masks)
+        var_bits.append([mask if not mask & (mask - 1) and not (e - ones) & mask else 0
+                         for e, mask in zip(diffs, masks)])
     return supp_masks, var_bits
 
 

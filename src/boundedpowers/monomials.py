@@ -95,9 +95,40 @@ def _check_monomial(n: int, u: Sequence[int]) -> Monomial:
     t = tuple(u)
     if len(t) != n:
         raise ValueError(f"ambient mismatch: monomial has {len(t)} entries, expected {n}")
-    if any(a < 0 for a in t):
+    if min(t, default=0) < 0:
         raise ValueError(f"negative exponent in {t}")
     return t
+
+
+class _Packing:
+    """Monomials in n variables packed into one int, for the hot loops.
+
+    Each exponent gets a field of ``width`` bits; the low ``width - 1`` bits
+    hold values 0..top and the field's top bit is a guard bit.  Variable 1
+    sits in the most significant field, so the numeric order of packed ints
+    is the lexicographic order of their exponent vectors.  While every field
+    stays below its guard, a field-wise comparison is one subtraction and a
+    mask: ``v`` divides ``u`` iff ``((u | guard) - v) & guard == guard``.
+    """
+
+    def __init__(self, n: int, top: int) -> None:
+        self.width = w = top.bit_length() + 1
+        self.ones = sum(1 << (k * w) for k in range(n))  # a 1 in every field
+        self.guard = self.ones << (w - 1)
+        self._shifts = tuple(range((n - 1) * w, -1, -w))
+        self._field = (1 << w) - 1
+
+    def pack(self, u: Sequence[int]) -> int:
+        """The packed form of an exponent vector with entries in 0..top."""
+        p = 0
+        for a in u:
+            p = p << self.width | a
+        return p
+
+    def unpack(self, p: int) -> Monomial:
+        """The exponent vector in the n fields of p; bits above them are ignored."""
+        field = self._field
+        return tuple([p >> shift & field for shift in self._shifts])
 
 
 @dataclass(frozen=True)
@@ -186,13 +217,21 @@ def minimalize(n: int, monomials: Iterable[Sequence[int]]) -> MonomialIdeal:
     equigenerated input (every bounded power of an edge ideal) makes no
     divisibility test at all.  The empty input yields the zero ideal.
     Output generators are sorted lexicographically on exponent entries.
+    A wrong-length or negative input raises ValueError even when it would
+    have been dropped.
     """
-    ms = sorted({_check_monomial(n, u) for u in monomials}, key=degree)
+    ms = sorted(set(map(tuple, monomials)), key=degree)
     kept: list[Monomial] = []
+    dropped: list[Monomial] = []
     for _, same_degree in groupby(ms, key=degree):
         lower = tuple(kept)
-        kept.extend(u for u in same_degree
-                    if not any(all(a <= b for a, b in zip(v, u)) for v in lower))
+        for u in same_degree:
+            divisible = any(all(a <= b for a, b in zip(v, u)) for v in lower)
+            (dropped if divisible else kept).append(u)
+    # every input is validated exactly once: the dropped ones here, the kept
+    # ones by the MonomialIdeal constructor
+    for u in dropped:
+        _check_monomial(n, u)
     return MonomialIdeal(n, tuple(sorted(kept)))
 
 

@@ -4,33 +4,59 @@ The s-th c-bounded power of I is the subideal of I^s generated by its
 c-bounded members.  Products are enumerated level by level, discarding any
 partial product that already exceeds the bound (sound because exponents only
 grow), so the full power is never materialized.
+
+The level loop runs on packed monomials (``monomials._Packing``).  Each
+exponent gets a field of ``w = max(c).bit_length() + 1`` bits whose top bit
+is a guard bit, with variable 1 in the most significant field, so numeric
+order is lexicographic order.  A product is one addition ``p + g``, and
+``q`` is c-bounded iff ``(q + offset) & guard`` is 0, where field k of
+``offset`` holds ``2^(w-1) - 1 - c_k``.  Levels are stored with ``offset``
+already added, which makes the bound test free, and with the degree in one
+more field above variable 1, which sorts a level by degree first.  Each level
+is minimalized in packed form by the rule ``minimalize`` uses, comparing only
+across degrees, and each kept generator is decoded to a tuple once.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .graphs import Graph
-from .monomials import BoundVector, Monomial, MonomialIdeal, _check_monomial, degree, minimalize
+from .monomials import (
+    BoundVector,
+    MonomialIdeal,
+    _check_monomial,
+    _Packing,
+    degree,
+    is_bounded,
+)
 
 
-def _bounded_levels(ideal: MonomialIdeal, c: BoundVector, max_level: int) -> list[set[Monomial]]:
-    """Sets of all c-bounded s-fold generator products for s = 1..max_level.
+def _bounded_levels(ideal: MonomialIdeal, c: BoundVector, max_level: int) -> list[MonomialIdeal]:
+    """The nonzero bounded powers (I^s)_c for s = 1..max_level, in order.
 
     Stops early once a level comes out empty; every bounded (s+1)-fold product
     is a bounded s-fold product times a generator, so the recursion is complete.
     """
-    n = ideal.n
-    bounded_gens = [g for g in ideal.gens if all(a <= b for a, b in zip(g, c))]
-    levels: list[set[Monomial]] = []
-    current = set(bounded_gens)
+    packing = _Packing(ideal.n, max(c))
+    guard = packing.guard
+    offset = guard - packing.ones - packing.pack(c)
+    degree_shift = ideal.n * packing.width
+    gens = [packing.pack(g) + (degree(g) << degree_shift)
+            for g in ideal.gens if is_bounded(g, c)]
+    levels: list[MonomialIdeal] = []
+    current = {offset + g for g in gens}
     while current and len(levels) < max_level:
-        levels.append(current)
-        nxt: set[Monomial] = set()
-        for p in current:
-            for g in bounded_gens:
-                q = tuple(a + b for a, b in zip(p, g))
-                if all(a <= b for a, b in zip(q, c)):
-                    nxt.add(q)
-        current = nxt
+        kept: list[int] = []
+        for _, same_degree in groupby(sorted(current), key=lambda p: p >> degree_shift):
+            if kept:
+                lower = tuple(kept)
+                same_degree = [u for u in same_degree
+                               if not any(((u | guard) - v) & guard == guard for v in lower)]
+            kept.extend(same_degree)
+        level_gens = sorted(packing.unpack(u - offset) for u in kept)
+        levels.append(MonomialIdeal(ideal.n, tuple(level_gens)))
+        current = {q for p in current for g in gens if not (q := p + g) & guard}
     return levels
 
 
@@ -40,9 +66,7 @@ def bounded_power(ideal: MonomialIdeal, s: int, c: BoundVector) -> MonomialIdeal
         raise ValueError(f"bounded_power wants s >= 1, got {s}")
     c = _check_monomial(ideal.n, c)
     levels = _bounded_levels(ideal, c, s)
-    if len(levels) < s:
-        return MonomialIdeal(ideal.n, ())
-    return minimalize(ideal.n, levels[s - 1])
+    return levels[s - 1] if len(levels) == s else MonomialIdeal(ideal.n, ())
 
 
 def squarefree_power(ideal: MonomialIdeal, s: int) -> MonomialIdeal:
@@ -56,7 +80,7 @@ def bounded_power_chain(ideal: MonomialIdeal, c: BoundVector) -> list[MonomialId
     _check_proper(ideal)
     mindeg = min((degree(g) for g in ideal.gens), default=1)
     cap = sum(c) // max(mindeg, 1) if ideal.gens else 0
-    return [minimalize(ideal.n, level) for level in _bounded_levels(ideal, c, cap)]
+    return _bounded_levels(ideal, c, cap)
 
 
 def delta(ideal: MonomialIdeal, c: BoundVector) -> int:

@@ -86,6 +86,13 @@ class SuiteConfig:
             raise ValueError(f"unknown c policy {self.c_policy!r}")
         if self.c_policy == "explicit" and not self.c_explicit:
             raise ValueError("explicit c policy needs c_explicit")
+        if self.c_policy == "random" and self.c_value < 1:
+            # every draw would be the all-zero vector, which is never accepted
+            raise ValueError(f"random c policy needs c_value >= 1, got {self.c_value}")
+        if self.nmax is not None and self.nmax < 1:
+            raise ValueError(f"nmax must be >= 1, got {self.nmax}")
+        if self.random_count is not None and self.random_count < 1:
+            raise ValueError(f"random corpus size must be >= 1, got {self.random_count}")
         if self.max_generators < 1 or self.jobs < 1:
             raise ValueError("caps and jobs must be positive")
         if self.max_s is not None and self.max_s < 1:

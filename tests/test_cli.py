@@ -208,6 +208,23 @@ class TestErrorHandling:
                                       "--max-s", max_s])
         assert code == 2 and "max_s must be >= 1" in err and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["--count", "5", "--c-policy", "random", "--c-value", "0"],
+        ["--count", "5", "--c-policy", "random", "--c-value", "-1"],
+        ["--nmax", "0"],
+        ["--nmax", "-2"],
+        ["--count", "0"],
+    ])
+    def test_undrawable_bound_or_empty_corpus(self, capsys, monkeypatch, argv):
+        # the random draws would loop forever on c = 0, and the empty corpora
+        # would verify nothing: the command must stop before any run starts
+        def no_run(cfg):
+            raise AssertionError(f"a run started for {cfg}")
+
+        monkeypatch.setattr(cli, "run_suite", no_run)
+        code, out, err = run(capsys, ["verify", "--suite", "regmain"] + argv)
+        assert code == 2 and ">= 1" in err and out == ""
+
     def test_max_s_below_the_s_range_reports_skips(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "colon-reg", "--nmax", "4",
                                     "--c-policy", "constant", "--c-value", "2",

@@ -9,6 +9,7 @@ from boundedpowers import (
     LQOrdering,
     SearchCapExceeded,
     all_bounded_powers_lq,
+    bounded_power_chain,
     colon_mono,
     complete_graph,
     cycle_graph,
@@ -20,6 +21,8 @@ from boundedpowers import (
     path_graph,
     restrict_lq_ordering,
 )
+from boundedpowers.linquot import _lq_pair_data
+from boundedpowers.monomials import _Packing
 
 REMARK_IDEAL = minimalize(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
 
@@ -188,3 +191,51 @@ class TestAllBoundedPowersLQ:
                 expected = g.complement().is_chordal()
                 assert all_bounded_powers_lq(g, (1,) * n) == expected
                 assert all_bounded_powers_lq(g, (2,) * n) == expected
+
+
+class TestPairTable:
+    """``_lq_pair_data`` against ``colon_mono``, reading each mask bit back as
+    the variable whose field's guard bit it is."""
+
+    @staticmethod
+    def variables_of(mask, n, width):
+        found = set()
+        while mask:
+            bit = (mask & -mask).bit_length() - 1
+            assert bit % width == width - 1, "mask bit is not a guard bit"
+            found.add(n - bit // width)
+            mask &= mask - 1
+        return found
+
+    @pytest.mark.parametrize("max_exp", [1, 2, 3, 6, 7, 8])
+    def test_masks_match_colon_mono(self, max_exp):
+        rng = random.Random(31 + max_exp)
+        for _ in range(40):
+            ideal = random_ideal(rng, nmax=12, max_gens=6, max_exp=max_exp)
+            width = _Packing(ideal.n, max(map(max, ideal.gens)) + 1).width
+            supp_masks, var_bits = _lq_pair_data(ideal)
+            for j, gj in enumerate(ideal.gens):
+                for i, gi in enumerate(ideal.gens):
+                    colon = colon_mono(gj, gi)
+                    support = {k + 1 for k, a in enumerate(colon) if a}
+                    assert self.variables_of(supp_masks[j][i], ideal.n, width) == support
+                    expected = supp_masks[j][i] if degree(colon) == 1 else 0
+                    assert var_bits[j][i] == expected
+
+    def test_order_is_the_first_valid_permutation(self):
+        # the search returns the lexicographically smallest ordering with
+        # linear quotients, which brute force meets first in permutation order
+        rng = random.Random(37)
+        ideals = [random_ideal(rng, nmax=5, max_gens=8, max_exp=3) for _ in range(300)]
+        for g in enumerate_labeled_graphs(4):
+            ideals += bounded_power_chain(g.edge_ideal(), (2, 1, 2, 1))
+        checked = 0
+        for ideal in ideals:
+            if not 3 <= len(ideal.gens) <= 6:
+                continue
+            first = next((order for order in permutations(range(len(ideal.gens)))
+                          if is_lq_ordering(ideal, order)), None)
+            found = find_lq_ordering(ideal)
+            assert (found.order if found is not None else None) == first
+            checked += 1
+        assert checked > 100

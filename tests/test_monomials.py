@@ -159,6 +159,16 @@ class TestIdealOps:
         with pytest.raises(ValueError):
             minimalize(2, [(-1, 0)])
 
+    @pytest.mark.parametrize("monomials, message", [
+        ([(1, 0), (2, 1, 0)], "ambient mismatch"),  # x1 divides the long one
+        ([(1, 0), (5,)], "ambient mismatch"),  # and the short one
+        ([(2, -1), (3, 0)], "negative exponent"),  # the bad one divides the good one
+        ([(0, -2), (1, -1)], "negative exponent"),  # and another bad one
+    ])
+    def test_invalid_input_raises_kept_or_dropped(self, monomials, message):
+        with pytest.raises(ValueError, match=message):
+            minimalize(2, monomials)
+
     def test_unit_ideal_edge_cases(self):
         one = minimalize(2, [(0, 0), (1, 1)])
         assert one.is_unit()

@@ -16,11 +16,13 @@ from boundedpowers import (
     delta,
     delta_bmatching,
     divides,
+    is_bounded,
     minimalize,
     path_graph,
     squarefree_power,
     top_power_is_polymatroidal,
 )
+from boundedpowers.monomials import mul
 
 
 def brute_bmatching(g: Graph, c) -> int:
@@ -203,3 +205,83 @@ class TestChainReuse:
             for u in chain[s - 1].gens:
                 colon_quadrics(g, s, c, u)
         assert level_builds == []
+
+
+def tuple_chain(ideal, c):
+    """The reference chain: c-bounded s-fold generator products, s = 1, 2, ...,
+    formed on exponent tuples, each level passed through ``minimalize``."""
+    gens = [g for g in ideal.gens if is_bounded(g, c)]
+    chain, level = [], set(gens)
+    while level:
+        chain.append(minimalize(ideal.n, level))
+        level = {q for p in level for g in gens if is_bounded(q := mul(p, g), c)}
+    return chain
+
+
+def edge_bounds(rng, n, top):
+    """c with one entry at ``top``, zeros, and small entries elsewhere, so that
+    a product can reach a full field while the chain stays short."""
+    c = [rng.choice((0, 1, 1, 2)) for _ in range(n)]
+    c[rng.randrange(n)] = top
+    return tuple(c)
+
+
+class TestPackedChain:
+    """The packed chain kernel against the tuple loop, at every field width
+    up to six bits and in up to 12 variables (packed ints beyond 64 bits)."""
+
+    TOPS = [0, 1, 2, 3, 4, 7, 8, 15, 16]
+
+    @pytest.mark.parametrize("top", TOPS)
+    def test_edge_ideals(self, top):
+        rng = random.Random(100 + top)
+        for _ in range(12):
+            g = random_graph(rng, rng.randint(2, 12))
+            c = edge_bounds(rng, g.n, top)
+            assert bounded_power_chain(g.edge_ideal(), c) == tuple_chain(g.edge_ideal(), c)
+
+    @pytest.mark.parametrize("top", TOPS)
+    def test_ideals_of_mixed_degree(self, top):
+        rng = random.Random(200 + top)
+        for _ in range(12):
+            n = rng.randint(1, 12)
+            c = list(edge_bounds(rng, n, top))
+            limit = rng.randrange(n)  # every generator uses x_limit, so delta <= c_limit
+            c[limit] = max(c[limit], 1)
+            gens = []
+            for _ in range(rng.randint(2, 5)):
+                g = [rng.randint(0, ck) if rng.random() < 0.4 else 0 for ck in c]
+                g[limit] = max(g[limit], 1)
+                if rng.random() < 0.2:  # a generator that c excludes
+                    k = rng.randrange(n)
+                    g[k] = c[k] + 1
+                gens.append(tuple(g))
+            c = tuple(c)
+            ideal = minimalize(n, gens)
+            chain = bounded_power_chain(ideal, c)
+            assert chain == tuple_chain(ideal, c)
+            for s in (1, len(chain) + 1):
+                expected = chain[s - 1] if s <= len(chain) else minimalize(n, [])
+                assert bounded_power(ideal, s, c) == expected
+
+    @pytest.mark.parametrize("c1", [15, 16])
+    def test_full_fields_do_not_carry(self, c1):
+        # squaring x1^15*x2 puts 30 in the field of x1 and squaring x2*x3^15
+        # puts 30 in the field of x3: both products must be refused, with
+        # nothing carried into the neighbouring field
+        ideal = minimalize(3, [(15, 1, 0), (0, 1, 15)])
+        chain = bounded_power_chain(ideal, (c1, 2, 15))
+        assert [level.gens for level in chain] == [((0, 1, 15), (15, 1, 0)), ((15, 2, 15),)]
+
+    def test_divisible_products_are_dropped(self):
+        # x1^2*x2^3 = x1^2 * x2^3 is divisible by x1^2*x2^2 = (x1*x2)^2, and
+        # so on at every level; each level keeps only its minimal products
+        ideal = minimalize(2, [(2, 0), (1, 1), (0, 3)])
+        chain = bounded_power_chain(ideal, (4, 6))
+        assert [level.gens for level in chain] == [
+            ((0, 3), (1, 1), (2, 0)),
+            ((0, 6), (1, 4), (2, 2), (3, 1), (4, 0)),
+            ((2, 5), (3, 3), (4, 2)),
+            ((3, 6), (4, 4)),
+        ]
+        assert chain == tuple_chain(ideal, (4, 6))

@@ -38,6 +38,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_s must be >= 1"):
             SuiteConfig(suite="regmain", nmax=3, max_s=max_s, **C2)
 
+    @pytest.mark.parametrize("c_value", [0, -1])
+    def test_random_policy_needs_a_positive_c_value(self, c_value):
+        # every c drawn from [0, c_value] would be all zero, so the draw never ends
+        with pytest.raises(ValueError, match="c_value >= 1"):
+            SuiteConfig(suite="regmain", random_count=5, c_policy="random", c_value=c_value)
+
+    @pytest.mark.parametrize("corpus", [dict(nmax=0), dict(nmax=-2), dict(random_count=0)],
+                             ids=["nmax=0", "nmax=-2", "count=0"])
+    def test_empty_corpus_size_rejected(self, corpus):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            SuiteConfig(suite="regmain", **corpus)
+
     def test_max_s_below_the_s_range_is_a_skip(self):
         # colon-reg starts at s = 2, so max_s = 1 leaves every instance without
         # an s; each one must still be reported
