@@ -165,26 +165,34 @@ def even_connected_targets(graph: Graph, edges: Sequence[Edge], a: int) -> set[i
 
 
 def edge_factorization(graph: Graph, s: int, u: Monomial) -> tuple[Edge, ...] | None:
-    """The lexicographically smallest multiset of s edges with product u."""
-    edges = graph.sorted_edges()
+    """The lexicographically smallest multiset of s edges with product u.
 
-    def extend(start: int, remaining: list[int], depth: int):
-        if depth == 0:
-            return [] if not any(remaining) else None
-        for k in range(start, len(edges)):
-            i, j = edges[k]
-            if remaining[i - 1] > 0 and remaining[j - 1] > 0:
+    Depth-first over edge indices in non-decreasing order, with an explicit
+    stack, so s is not bounded by the interpreter's recursion limit.
+    """
+    edges = graph.sorted_edges()
+    remaining = list(u)
+    chosen: list[int] = []
+    k = 0  # the next edge index to try at the current depth
+    while True:
+        if len(chosen) < s:
+            while k < len(edges) and not (remaining[edges[k][0] - 1] and remaining[edges[k][1] - 1]):
+                k += 1
+            if k < len(edges):
+                i, j = edges[k]
                 remaining[i - 1] -= 1
                 remaining[j - 1] -= 1
-                tail = extend(k, remaining, depth - 1)
-                remaining[i - 1] += 1
-                remaining[j - 1] += 1
-                if tail is not None:
-                    return [edges[k]] + tail
-        return None
-
-    result = extend(0, list(u), s)
-    return tuple(result) if result is not None else None
+                chosen.append(k)
+                continue
+        elif not any(remaining):
+            return tuple(edges[t] for t in chosen)
+        if not chosen:
+            return None
+        k = chosen.pop()
+        i, j = edges[k]
+        remaining[i - 1] += 1
+        remaining[j - 1] += 1
+        k += 1
 
 
 def colon_quadrics(

@@ -76,6 +76,8 @@ def search_ordering(
     contained in ``supp_masks[j][i]``.  Failed placed-sets are memoized as
     bitmasks; candidates are tried in ascending index order, so the first
     complete ordering found is the lexicographically smallest valid one.
+    The search keeps its own stack, so its depth m is not bounded by the
+    interpreter's recursion limit.
     Masks are only combined with ``&`` and ``|``, so their bits may stand for
     variables in any fixed layout: ``_lq_pair_data`` puts each variable at its
     field's guard-bit position, not at its variable index.
@@ -84,38 +86,35 @@ def search_ordering(
         return ()
     full = (1 << m) - 1
     failed: set[int] = set()
-
-    def extend(mask: int) -> list[int] | None:
+    order: list[int] = []
+    # one frame per placed prefix: its set, the OR of var_bits[k][i] over the
+    # placed k for every candidate i, and the next candidate to try
+    stack: list[tuple[int, list[int], int]] = [(0, [0] * m, 0)]
+    while stack:
+        mask, varmasks, start = stack[-1]
         if mask == full:
-            return []
-        if mask in failed:
-            return None
-        for i in range(m):
-            if mask >> i & 1:
+            return tuple(order)
+        for i in range(start, m):
+            if mask >> i & 1 or mask | 1 << i in failed:
                 continue
-            varmask = 0
-            rest = mask
-            while rest:
-                k = (rest & -rest).bit_length() - 1
-                varmask |= var_bits[k][i]
-                rest &= rest - 1
-            ok = True
+            varmask = varmasks[i]
             rest = mask
             while rest:
                 j = (rest & -rest).bit_length() - 1
                 if not pair_ok_free[j][i] and not supp_masks[j][i] & varmask:
-                    ok = False
                     break
                 rest &= rest - 1
-            if ok:
-                tail = extend(mask | 1 << i)
-                if tail is not None:
-                    return [i] + tail
-        failed.add(mask)
-        return None
-
-    result = extend(0)
-    return tuple(result) if result is not None else None
+            if not rest:
+                stack[-1] = (mask, varmasks, i + 1)
+                stack.append((mask | 1 << i, [a | b for a, b in zip(varmasks, var_bits[i])], 0))
+                order.append(i)
+                break
+        else:
+            failed.add(mask)
+            stack.pop()
+            if order:
+                order.pop()
+    return None
 
 
 def _lq_pair_data(ideal: MonomialIdeal):

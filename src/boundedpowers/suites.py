@@ -9,6 +9,15 @@ Every graph statement is about one chain (I(G)^s)_c, s = 1..delta.  Each graph
 instance builds that chain once, and one code path (``_GraphSuite``) applies
 the suite's s-range and ``max_s`` to it; an s-range that ``max_s`` empties is
 reported as a skip too.
+
+Every graph statement is also unchanged when the vertices and c are relabeled
+together: x_i -> x_pi(i) maps (I(G)^s)_c onto (I(pi G)^s)_{pi c}.  So a graph
+suite evaluates one instance per isomorphism class of (G, colour v by c_v),
+found through ``canon.canonical_form``, and gives each other member of the
+class the same (s, outcome, detail) records under its own key and payload.
+That requires every pass and skip detail to be label-invariant.  A fail
+detail may name labeled monomials, so a class whose first member fails is
+evaluated member by member.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
 
+from .canon import canonical_form
 from .connections import (
     colon_generated_in_degree_two,
     colon_quadrics,
@@ -158,7 +168,10 @@ def _draw_c(rng: random.Random, n: int, cfg: SuiteConfig, strictly_positive: boo
             return c
 
 
-def _graph_instances(cfg: SuiteConfig, strictly_positive: bool, force_ones: bool) -> list[dict]:
+def _graph_instances(
+    cfg: SuiteConfig, strictly_positive: bool, force_ones: bool
+) -> tuple[list[dict], list[tuple | None]]:
+    """The corpus payloads, and the canonical form of each (G, c) or None."""
     rng = random.Random(cfg.seed)
     graphs: list[Graph] = []
     if cfg.graph6_path is not None:
@@ -177,11 +190,12 @@ def _graph_instances(cfg: SuiteConfig, strictly_positive: bool, force_ones: bool
         nmax = cfg.nmax if cfg.nmax is not None else 4
         for n in range(1, nmax + 1):
             graphs.extend(enumerate_labeled_graphs(n))
-    instances = []
+    instances, forms = [], []
     for g in graphs:
         c = (1,) * g.n if force_ones else _draw_c(rng, g.n, cfg, strictly_positive)
         instances.append({"graph6": g.to_graph6(), "c": list(c)})
-    return instances
+        forms.append(canonical_form(g, c))
+    return instances, forms
 
 
 def _random_ideal(rng: random.Random, cfg: SuiteConfig) -> MonomialIdeal:
@@ -217,6 +231,10 @@ def _ideal_instances(cfg: SuiteConfig) -> list[dict]:
     return instances
 
 
+def _graph_key(payload: dict) -> str:
+    return f"{payload['graph6']}|{_c_string(payload['c'])}"
+
+
 class _Instance:
     """One graph instance: its graph, bound c, record key and the chain
     (I(G)^s)_c, s = 1..delta, built at most once and only when a check asks."""
@@ -226,7 +244,7 @@ class _Instance:
         self.cfg = cfg
         self.graph = parse_graph6(payload["graph6"])
         self.c = tuple(payload["c"])
-        self.key = f"{payload['graph6']}|{_c_string(self.c)}"
+        self.key = _graph_key(payload)
         self._regs: dict[int, int] = {}
 
     @cached_property
@@ -256,6 +274,10 @@ class _GraphSuite:
     skip detail, formatted with delta, for an instance whose s-range is empty
     (for a whole-instance check: whose chain is empty).  A search-cap refusal
     becomes a skip for its s.
+
+    Records are copied to every instance isomorphic to the evaluated one
+    (see the module docstring), so a pass or skip detail, and the outcome,
+    must not depend on the vertex labels; only a fail detail may.
     """
 
     check: Callable[[_Instance, int | None], dict]
@@ -442,33 +464,66 @@ def default_jobs() -> int:
     return 1
 
 
+def _isomorphism_classes(forms: list[tuple | None]) -> list[list[int]]:
+    """Instance indices grouped by equal canonical form, in order of first
+    appearance; an instance without a form is a class of its own."""
+    by_form: dict[tuple, list[int]] = {}
+    classes: list[list[int]] = []
+    for k, form in enumerate(forms):
+        if form in by_form:
+            by_form[form].append(k)
+        else:
+            classes.append([k])
+            if form is not None:
+                by_form[form] = classes[-1]
+    return classes
+
+
+def _evaluate(cfg: SuiteConfig, payloads: list[dict]) -> list[list[dict]]:
+    work = [(cfg.suite, payload, cfg) for payload in payloads]
+    if cfg.jobs > 1 and len(work) > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            return list(pool.map(_evaluate_instance, work, chunksize=8))
+    return [_evaluate_instance(item) for item in work]
+
+
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Execute one suite and assemble its deterministic report.
 
-    Instances are generated sequentially from the seed, evaluated (in parallel
-    when jobs > 1; results do not depend on the schedule), and the records are
-    sorted by instance key.  Wall-clock timings live in a sidecar section that
-    is excluded from determinism comparisons.
+    Instances are generated sequentially from the seed.  A graph suite
+    evaluates the first member of each isomorphism class of (G, c) and copies
+    its records to the other members, except in a class with a failure,
+    whose members are all evaluated (see the module docstring).  Evaluation
+    runs in parallel when jobs > 1; results do not depend on the schedule.
+    The records are sorted by instance key.  Wall-clock timings and the class
+    counts live in a sidecar section that is excluded from determinism
+    comparisons.
     """
     start = time.perf_counter()
     kind = _SUITES[cfg.suite][0]
-    if kind == "graphs":
-        instances = _graph_instances(cfg, strictly_positive=False, force_ones=False)
-    elif kind == "graphs-positive":
-        instances = _graph_instances(cfg, strictly_positive=True, force_ones=False)
-    elif kind == "graphs-ones":
-        instances = _graph_instances(cfg, strictly_positive=True, force_ones=True)
-    elif kind == "ideals":
-        instances = _ideal_instances(cfg)
+    if kind.startswith("graphs"):
+        instances, forms = _graph_instances(
+            cfg, strictly_positive=kind != "graphs", force_ones=kind == "graphs-ones")
+        classes = _isomorphism_classes(forms)
+        over_budget = forms.count(None)
     else:
-        instances = [{}]
-    work = [(cfg.suite, payload, cfg) for payload in instances]
-    if cfg.jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(_evaluate_instance, work, chunksize=8))
-    else:
-        chunks = [_evaluate_instance(item) for item in work]
-    records = [r for chunk in chunks for r in chunk]
+        instances = _ideal_instances(cfg) if kind == "ideals" else [{}]
+        classes = [[k] for k in range(len(instances))]
+        over_budget = 0
+    chunks = _evaluate(cfg, [instances[members[0]] for members in classes])
+    failing = [k for members, chunk in zip(classes, chunks) if len(members) > 1
+               and any(r["outcome"] == "fail" for r in chunk) for k in members[1:]]
+    evaluated = dict(zip(failing, _evaluate(cfg, [instances[k] for k in failing])))
+    records = []
+    for members, chunk in zip(classes, chunks):
+        records.extend(chunk)
+        for k in members[1:]:
+            if k in evaluated:
+                records.extend(evaluated[k])
+                continue
+            payload = instances[k]
+            key = _graph_key(payload)
+            records.extend(_record(key, payload, r["outcome"], r["detail"], r["s"]) for r in chunk)
     records.sort(key=lambda r: (r["key"], -1 if r["s"] is None else r["s"]))
     counterexamples = [r for r in records if r["outcome"] == "fail"]
     summary = {
@@ -487,5 +542,12 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         records=records,
         counterexamples=counterexamples,
         summary=summary,
-        timings={"wall_seconds": round(elapsed, 6), "jobs": jobs},
+        timings={
+            "wall_seconds": round(elapsed, 6),
+            "jobs": jobs,
+            "instances": len(instances),
+            "classes": len(classes),
+            "reevaluated": len(failing),
+            "over_budget": over_budget,
+        },
     )

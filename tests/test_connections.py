@@ -1,7 +1,8 @@
 """Even-connections and colon structure of consecutive bounded powers."""
 
 import random
-from itertools import combinations, permutations
+import sys
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -117,6 +118,27 @@ class TestEdgeFactorization:
 
     def test_no_factorization(self):
         assert edge_factorization(path_graph(3), 1, (1, 0, 1)) is None
+
+    def test_first_multiset_in_lexicographic_order(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(2, 5))
+            s = rng.randint(0, 3)
+            u = tuple(rng.randint(0, 2) for _ in range(g.n))
+            first = None
+            for multiset in combinations_with_replacement(g.sorted_edges(), s):
+                if all(sum(v in e for e in multiset) == a for v, a in enumerate(u, 1)):
+                    first = multiset
+                    break
+            assert edge_factorization(g, s, u) == first
+
+    def test_deeper_than_the_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 100
+        assert edge_factorization(complete_graph(2), depth, (depth, depth)) == ((1, 2),) * depth
+        u = (depth, 2 * depth, depth)
+        assert edge_factorization(path_graph(3), 2 * depth, u) == (
+            ((1, 2),) * depth + ((2, 3),) * depth)
+        assert edge_factorization(path_graph(3), 2 * depth, (depth, 2 * depth, depth + 1)) is None
 
 
 class TestColonQuadrics:

@@ -1,6 +1,7 @@
 """Linear quotients recognition, complete search, and restriction inheritance."""
 
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -21,7 +22,7 @@ from boundedpowers import (
     path_graph,
     restrict_lq_ordering,
 )
-from boundedpowers.linquot import _lq_pair_data
+from boundedpowers.linquot import _lq_pair_data, search_ordering
 from boundedpowers.monomials import _Packing
 
 REMARK_IDEAL = minimalize(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
@@ -239,3 +240,43 @@ class TestPairTable:
             assert (found.order if found is not None else None) == first
             checked += 1
         assert checked > 100
+
+
+class TestSearchOrdering:
+    @staticmethod
+    def admissible(order, pair_ok_free, supp_masks, var_bits):
+        """The pair condition of ``search_ordering``, read off directly."""
+        for pos, i in enumerate(order):
+            placed = order[:pos]
+            varmask = 0
+            for k in placed:
+                varmask |= var_bits[k][i]
+            if any(not pair_ok_free[j][i] and not supp_masks[j][i] & varmask
+                   for j in placed):
+                return False
+        return True
+
+    def test_first_admissible_permutation_on_random_tables(self):
+        rng = random.Random(41)
+        found = 0
+        for _ in range(400):
+            m = rng.randint(0, 6)
+            tables = (
+                [[rng.random() < 0.3 for _ in range(m)] for _ in range(m)],
+                [[rng.getrandbits(4) for _ in range(m)] for _ in range(m)],
+                [[1 << rng.randrange(4) if rng.random() < 0.4 else 0 for _ in range(m)]
+                 for _ in range(m)],
+            )
+            first = next((order for order in permutations(range(m))
+                          if self.admissible(order, *tables)), None)
+            assert search_ordering(m, *tables) == first
+            found += first is not None
+        assert 50 < found < 350
+
+    def test_deeper_than_the_recursion_limit(self):
+        # i may follow any placed set that does not hold i + 1, so the only
+        # ordering is 0, ..., m-1, one search level per element
+        m = sys.getrecursionlimit() + 50
+        zeros = [0] * m
+        pair_ok_free = [[j != i + 1 for i in range(m)] for j in range(m)]
+        assert search_ordering(m, pair_ok_free, [zeros] * m, [zeros] * m) == tuple(range(m))

@@ -1,11 +1,12 @@
 """Suite harness: determinism, skip/fail bookkeeping, corpus handling."""
 
 import json
+import random
 
 import pytest
 
 import boundedpowers.suites as suites
-from boundedpowers import Graph, SuiteConfig, run_suite
+from boundedpowers import Graph, SuiteConfig, canon, cycle_graph, path_graph, run_suite
 from boundedpowers.suites import SUITE_NAMES
 
 GRAPH_SUITES = [name for name, (kind, _) in suites._SUITES.items() if kind.startswith("graphs")]
@@ -204,8 +205,12 @@ class TestSRange:
 
     @pytest.mark.parametrize("suite", GRAPH_SUITES)
     def test_one_chain_build_per_instance(self, level_builds, suite):
+        # at most one chain per instance, and in fact exactly one per
+        # isomorphism class: 11 labeled graphs on up to 3 vertices, 1 + 2 + 4
+        # classes
         report = run_suite(SuiteConfig(suite=suite, nmax=3, max_generators=10, **C2))
-        assert len(level_builds) == len({r["key"] for r in report.records}) == 11
+        assert len({r["key"] for r in report.records}) == 11
+        assert len(level_builds) == report.timings["classes"] == 7
 
     def test_regcol_computes_each_level_regularity_once(self, monkeypatch):
         seen = []  # keeps every ideal alive, so ids stay unique
@@ -232,3 +237,100 @@ class TestCounterexamplePath:
         assert record["outcome"] == "fail"
         assert record["instance"]["graph6"]
         assert json.dumps(report.to_dict())  # serializable with payloads
+
+
+def record_order(r):
+    return (r["key"], -1 if r["s"] is None else r["s"])
+
+
+def reference_records(cfg):
+    """Every instance of the corpus evaluated on its own, records flattened."""
+    kind = suites._SUITES[cfg.suite][0]
+    instances, _ = suites._graph_instances(
+        cfg, strictly_positive=kind != "graphs", force_ones=kind == "graphs-ones")
+    records = [r for payload in instances
+               for r in suites._evaluate_instance((cfg.suite, payload, cfg))]
+    return sorted(records, key=record_order)
+
+
+def relabeled_corpus(tmp_path):
+    """Five graphs on 5 vertices, each under four relabelings, one of them
+    the identity twice over, so the file also holds exact duplicates."""
+    rng = random.Random(17)
+    base = [cycle_graph(5), path_graph(5), Graph.from_edges(5, [(1, 2), (2, 3), (1, 3), (3, 4)]),
+            Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (2, 3)]), Graph(5)]
+    lines = []
+    for graph in base:
+        perms = [list(range(1, 6))] * 2 + [rng.sample(range(1, 6), 5) for _ in range(2)]
+        for perm in perms:
+            edges = [(perm[i - 1], perm[j - 1]) for i, j in graph.edges]
+            lines.append(Graph.from_edges(5, edges).to_graph6())
+    path = tmp_path / "relabeled.g6"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+CORPORA = {
+    "nmax4-ones": dict(nmax=4),
+    "nmax4-c2": dict(nmax=4, **C2),
+    "random-c": dict(random_count=40, random_nmax=5, seed=3, c_policy="random", c_value=2),
+    "relabeled-g6": dict(c_policy="constant", c_value=2),
+}
+
+
+class TestIsomorphismMemo:
+    @pytest.mark.parametrize("corpus", CORPORA)
+    @pytest.mark.parametrize("suite", GRAPH_SUITES)
+    def test_records_equal_per_instance_evaluation(self, tmp_path, suite, corpus):
+        options = dict(CORPORA[corpus])
+        if corpus == "relabeled-g6":
+            options["graph6_path"] = relabeled_corpus(tmp_path)
+        cfg = SuiteConfig(suite=suite, max_generators=10, **options)
+        report = run_suite(cfg)
+        assert report.records == reference_records(cfg)
+        assert report.timings["classes"] < report.timings["instances"]
+
+    @pytest.mark.parametrize("suite", GRAPH_SUITES)
+    def test_jobs_2_matches_jobs_1(self, suite):
+        base = dict(suite=suite, nmax=4, max_generators=10, **C2)
+        serial = run_suite(SuiteConfig(jobs=1, **base))
+        parallel = run_suite(SuiteConfig(jobs=2, **base))
+        assert serial.to_json(with_timings=False) == parallel.to_json(with_timings=False)
+        assert parallel.timings["classes"] == serial.timings["classes"] == 18
+
+    def test_class_counts_in_timings(self):
+        report = run_suite(SuiteConfig(suite="essen", nmax=4))
+        assert {k: report.timings[k] for k in
+                ("instances", "classes", "reevaluated", "over_budget")} == {
+            "instances": 75, "classes": 18, "reevaluated": 0, "over_budget": 0}
+        assert "classes" not in report.to_json(with_timings=False)
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    @pytest.mark.parametrize("suite", ["regmain", "banerjee-colon"])
+    def test_tiny_leaf_budget_gives_the_same_report(self, monkeypatch, suite, budget):
+        cfg = SuiteConfig(suite=suite, nmax=4, **C2)
+        expected = run_suite(cfg).to_json(with_timings=False)
+        monkeypatch.setattr(canon, "LEAF_BUDGET", budget)
+        report = run_suite(cfg)
+        assert report.to_json(with_timings=False) == expected
+        over = report.timings["over_budget"]
+        assert (over == 75) if budget == 0 else (0 < over < 75)
+        assert report.timings["classes"] > 18
+
+    def test_fail_details_stay_with_their_member(self, monkeypatch):
+        # a check whose fail detail names a labeled edge: copying the
+        # representative's record would give every member the wrong edge
+        def check(inst, s):
+            edges = inst.graph.sorted_edges()
+            return inst.record(not edges, f"first edge {edges[0]}" if edges else "edgeless")
+
+        monkeypatch.setitem(suites._SUITES, "deg2", ("graphs", suites._GraphSuite(check)))
+        cfg = SuiteConfig(suite="deg2", nmax=4, **C2)
+        report = run_suite(cfg)
+        assert report.records == reference_records(cfg)
+        for record in report.counterexamples:
+            first = suites.parse_graph6(record["instance"]["graph6"]).sorted_edges()[0]
+            assert record["detail"] == f"first edge {first}"
+        # 71 instances with an edge, in 14 classes whose other members rerun
+        assert len(report.counterexamples) == 71
+        assert report.timings["reevaluated"] == 71 - 14
