@@ -34,7 +34,6 @@ from .homology import (
     betti_table_hochster,
     betti_table_taylor,
     has_linear_resolution,
-    homology_rank,
     lcm_lattice,
     polarize,
     rank_of_rows,
@@ -58,18 +57,14 @@ from .monomials import (
     degree,
     divides,
     is_bounded,
-    leq_componentwise,
     minimalize,
     support,
-    unit,
-    variable,
 )
 from .polymatroid import (
     exchange_witness,
     is_equigenerated,
     is_matroidal,
     is_polymatroidal,
-    top_power_is_polymatroidal,
 )
 from .powers import (
     bounded_power,

@@ -16,11 +16,11 @@ import sys
 from .connections import colon_quadrics
 from .graphs import Graph, Graph6Error, parse_graph6
 from .homology import betti_table, regularity
-from .linquot import SearchCapExceeded, find_lq_ordering, is_lq_ordering
+from .linquot import DEFAULT_GENERATOR_CAP, SearchCapExceeded, find_lq_ordering, is_lq_ordering
 from .monomials import MonomialIdeal
 from .polymatroid import is_equigenerated, is_matroidal, is_polymatroidal
 from .powers import delta
-from .suites import SUITE_NAMES, SuiteConfig, default_jobs, run_suite
+from .suites import C_POLICIES, SUITE_NAMES, SuiteConfig, default_jobs, run_suite
 
 
 def _read_input(args) -> str:
@@ -193,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lq = sub.add_parser("lq", help="linear quotients orderings (ideal JSON input)")
     p_lq.add_argument("op", choices=["find", "check"])
     p_lq.add_argument("--order", help="candidate ordering for `check`, e.g. 0,2,1")
-    p_lq.add_argument("--max-gens", type=int, default=24, help="search cap on generators")
+    p_lq.add_argument("--max-gens", type=int, default=DEFAULT_GENERATOR_CAP,
+                      help="search cap on generators")
     _add_io_options(p_lq)
     p_lq.set_defaults(func=_cmd_lq)
 
@@ -216,15 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--count", type=int, help="random corpus size")
     p_verify.add_argument("--random-nmax", type=int, default=5,
                           help="vertex cap for random corpora")
-    p_verify.add_argument("--c-policy", default="ones",
-                          choices=["ones", "constant", "random", "explicit"])
+    p_verify.add_argument("--c-policy", default="ones", choices=C_POLICIES)
     p_verify.add_argument("--c-value", type=int, default=1,
                           help="constant value / random upper bound for c entries")
     p_verify.add_argument("--c", help="explicit bound vector (with --c-policy explicit)")
     p_verify.add_argument("--char", type=int, default=0)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--jobs", type=int, default=default_jobs())
-    p_verify.add_argument("--max-gens", type=int, default=24)
+    p_verify.add_argument("--max-gens", type=int, default=DEFAULT_GENERATOR_CAP)
     p_verify.add_argument("--max-s", type=int, default=None)
     p_verify.add_argument("--out", help="write the report to FILE")
     p_verify.set_defaults(func=_cmd_verify)

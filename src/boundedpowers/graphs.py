@@ -66,9 +66,6 @@ class Graph:
             adjacent[j].append(i)
         return {v: tuple(sorted(us)) for v, us in adjacent.items()}
 
-    def neighbors(self, v: int) -> set[int]:
-        return set(self.adjacency[v])
-
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
@@ -88,28 +85,6 @@ class Graph:
     def complement(self) -> "Graph":
         all_pairs = {(i, j) for i, j in combinations(self.vertices(), 2)}
         return Graph(self.n, frozenset(all_pairs - self.edges))
-
-    def delete_vertices(self, remove: Iterable[int], compact: bool = False) -> "Graph":
-        """Drop the given vertices and every edge touching them.
-
-        By default the remaining vertices keep their labels and the ambient n
-        is unchanged (deleted vertices linger as isolated labels), so ideals
-        built from the result stay comparable.  With ``compact=True`` the
-        survivors are relabeled 1..m preserving order.
-        """
-        removed = set(remove)
-        for v in removed:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"unknown vertex label {v}")
-        kept_edges = {e for e in self.edges if not (e[0] in removed or e[1] in removed)}
-        if not compact:
-            return Graph(self.n, frozenset(kept_edges))
-        survivors = [v for v in self.vertices() if v not in removed]
-        relabel = {v: k + 1 for k, v in enumerate(survivors)}
-        return Graph(
-            max(len(survivors), 1),
-            frozenset((relabel[i], relabel[j]) for i, j in kept_edges),
-        )
 
     def is_chordal(self) -> bool:
         """No induced cycle of length >= 4, via maximum cardinality search.
@@ -257,24 +232,19 @@ def read_graph6_file(path: str) -> Iterator[Graph]:
                 yield parse_graph6(line)
 
 
-def enumerate_labeled_graphs(n: int, start: int = 0, stop: int | None = None) -> Iterator[Graph]:
+def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n choose 2) labeled graphs on 1..n, in a fixed order.
 
     Pairs are listed lexicographically ((1,2), (1,3), ..., (n-1,n)); graph
     number ``mask`` contains pair k iff bit k (LSB first) of ``mask`` is set,
-    and graphs are yielded for mask = start, ..., stop-1, so the stream can be
-    restarted at any index range for parallel sharding.
+    and graphs are yielded in increasing order of ``mask``.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > _ENUMERATION_CAP:
         raise ValueError(f"enumeration refused for n={n} > cap {_ENUMERATION_CAP}")
     pairs = list(combinations(range(1, n + 1), 2))
-    total = 1 << len(pairs)
-    if not 0 <= start <= total:
-        raise ValueError(f"start index {start} outside 0..{total}")
-    stop = total if stop is None else min(stop, total)
-    for mask in range(start, stop):
+    for mask in range(1 << len(pairs)):
         edges = frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
         yield Graph(n, edges)
 

@@ -75,14 +75,6 @@ class SimplicialComplex:
         """Dimension of the complex; -1 for the empty complex, -2 for void."""
         return max(self._by_dim, default=-2)
 
-    def is_closed(self) -> bool:
-        face_set = {f for fs in self._by_dim.values() for f in fs}
-        return all(
-            f[:k] + f[k + 1 :] in face_set
-            for f in face_set
-            for k in range(len(f))
-        )
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SimplicialComplex) and self._by_dim == other._by_dim
 
@@ -223,46 +215,14 @@ def reduced_homology_ranks(
     return ranks
 
 
-def homology_rank(complex_: SimplicialComplex, i: int, char: int = 0) -> int:
-    """dim of reduced simplicial homology in degree i over Q or GF(char)."""
-    if complex_.is_void() or i < -1 or i > complex_.dim():
-        return 0
-    faces = complex_.faces_of_dim(i)
-    if not faces:
-        return 0
-    down = rank_of_rows(_boundary_rows(complex_, i), char) if i >= 0 else 0
-    up = rank_of_rows(_boundary_rows(complex_, i + 1), char)
-    return len(faces) - down - up
-
-
 @dataclass(frozen=True)
 class PolarizationMap:
     """Bookkeeping for squarefree-ification: source variable i (1-based) with
-    multiplicity a_i expands to target variables indexed offset_i+1..offset_i+a_i."""
+    multiplicity a_i expands to target variables indexed offset_i+1..offset_i+a_i,
+    where offset_i = a_1 + ... + a_(i-1)."""
 
     source_n: int
     multiplicities: tuple[int, ...]
-
-    @property
-    def target_ambient(self) -> int:
-        return sum(self.multiplicities)
-
-    def target_index(self, i: int, k: int) -> int:
-        """1-based target index of the k-th copy of source variable i."""
-        if not 1 <= i <= self.source_n or not 1 <= k <= self.multiplicities[i - 1]:
-            raise ValueError(f"no target variable for (i={i}, k={k})")
-        return sum(self.multiplicities[: i - 1]) + k
-
-    def polarize_monomial(self, u: Monomial) -> Monomial:
-        if len(u) != self.source_n:
-            raise ValueError("ambient mismatch")
-        target = [0] * self.target_ambient
-        for i, a in enumerate(u, start=1):
-            if a > self.multiplicities[i - 1]:
-                raise ValueError(f"exponent {a} of x{i} exceeds multiplicity")
-            for k in range(1, a + 1):
-                target[self.target_index(i, k) - 1] = 1
-        return tuple(target)
 
 
 def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, PolarizationMap]:
@@ -276,11 +236,14 @@ def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, PolarizationMap]:
     if ideal.is_unit():
         raise ValueError("cannot polarize the unit ideal (no target variables)")
     mults = tuple(max(g[i] for g in ideal.gens) for i in range(ideal.n))
-    pmap = PolarizationMap(ideal.n, mults)
-    gens = sorted(pmap.polarize_monomial(g) for g in ideal.gens)
-    polarized = MonomialIdeal(pmap.target_ambient, tuple(gens))
+    # x_i^a becomes the first a of the m_i target variables of x_i
+    gens = sorted(
+        tuple(bit for a, m in zip(g, mults) for bit in (1,) * a + (0,) * (m - a))
+        for g in ideal.gens
+    )
+    polarized = MonomialIdeal(sum(mults), tuple(gens))
     assert len(polarized.gens) == len(ideal.gens)
-    return polarized, pmap
+    return polarized, PolarizationMap(ideal.n, mults)
 
 
 def upper_koszul(ideal: MonomialIdeal, m: Monomial) -> SimplicialComplex:
@@ -347,29 +310,13 @@ class BettiTable:
             raise ValueError("Betti numbers must be nonnegative")
         return cls(char, entries)
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(i, j): b for i, j, b in self.entries}
-
-    def get(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
-
     def regularity(self) -> int:
         if not self.entries:
             raise ValueError("empty Betti table has no regularity")
         return max(j - i for i, j, _ in self.entries)
 
-    def projective_dimension(self) -> int:
-        if not self.entries:
-            raise ValueError("empty Betti table has no projective dimension")
-        return max(i for i, _, _ in self.entries)
-
     def to_json(self) -> str:
         return json.dumps({"char": self.char, "entries": [list(e) for e in self.entries]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "BettiTable":
-        data = json.loads(text)
-        return cls(int(data["char"]), tuple(tuple(e) for e in data["entries"]))
 
 
 def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:

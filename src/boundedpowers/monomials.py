@@ -18,18 +18,6 @@ Monomial = tuple[int, ...]
 BoundVector = tuple[int, ...]
 
 
-def unit(n: int) -> Monomial:
-    """The monomial 1 in n variables (all-zero exponent vector)."""
-    return (0,) * n
-
-
-def variable(n: int, i: int) -> Monomial:
-    """The monomial x_i (1-based) in n variables."""
-    if not 1 <= i <= n:
-        raise ValueError(f"variable index {i} out of range 1..{n}")
-    return tuple(1 if k == i - 1 else 0 for k in range(n))
-
-
 def degree(u: Monomial) -> int:
     return sum(u)
 
@@ -38,19 +26,9 @@ def support(u: Monomial) -> tuple[int, ...]:
     return tuple(i + 1 for i, a in enumerate(u) if a > 0)
 
 
-def mul(u: Monomial, v: Monomial) -> Monomial:
-    _check_same_ambient(u, v)
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def lcm(u: Monomial, v: Monomial) -> Monomial:
     _check_same_ambient(u, v)
     return tuple(max(a, b) for a, b in zip(u, v))
-
-
-def gcd(u: Monomial, v: Monomial) -> Monomial:
-    _check_same_ambient(u, v)
-    return tuple(min(a, b) for a, b in zip(u, v))
 
 
 def divides(u: Monomial, v: Monomial) -> bool:
@@ -69,13 +47,6 @@ def is_bounded(u: Monomial, c: BoundVector) -> bool:
     """True iff u is entrywise <= c.  With c = (1,...,1) this is squarefreeness."""
     _check_same_ambient(u, c)
     return all(a <= b for a, b in zip(u, c))
-
-
-def leq_componentwise(c1: Sequence[int], c2: Sequence[int]) -> bool:
-    """The componentwise partial order on bound vectors."""
-    if len(c1) != len(c2):
-        raise ValueError(f"ambient mismatch: {len(c1)} vs {len(c2)}")
-    return all(a <= b for a, b in zip(c1, c2))
 
 
 def _check_same_ambient(u: Sequence[int], v: Sequence[int]) -> None:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import Graph
-from .monomials import BoundVector, MonomialIdeal, degree
-from .powers import bounded_power_chain
+from .monomials import MonomialIdeal, degree
 
 
 def is_equigenerated(ideal: MonomialIdeal) -> bool:
@@ -62,11 +60,3 @@ def is_matroidal(ideal: MonomialIdeal) -> bool:
     """Polymatroidal with every generator squarefree."""
     return all(max(g, default=0) <= 1 for g in ideal.gens) and is_polymatroidal(ideal)
 
-
-def top_power_is_polymatroidal(graph: Graph, c: BoundVector) -> bool:
-    """Whether the highest nonvanishing bounded power of the edge ideal passes
-    the exchange condition.  Errors when delta = 0 (vacuous instance)."""
-    chain = bounded_power_chain(graph.edge_ideal(), c)
-    if not chain:
-        raise ValueError("delta is 0: no nonvanishing bounded power to test")
-    return is_polymatroidal(chain[-1])

@@ -40,6 +40,7 @@ from .connections import (
 from .graphs import Graph, enumerate_labeled_graphs, parse_graph6, read_graph6_file
 from .homology import check_characteristic, has_linear_resolution, regularity
 from .linquot import (
+    DEFAULT_GENERATOR_CAP,
     SearchCapExceeded,
     all_bounded_powers_lq,
     find_lq_ordering,
@@ -49,21 +50,7 @@ from .monomials import MonomialIdeal, minimalize
 from .polymatroid import is_matroidal, is_polymatroidal
 from .powers import bounded_power_chain
 
-SUITE_NAMES = (
-    "boston",
-    "istanbul",
-    "edge-lq",
-    "squarefree-lq",
-    "essen",
-    "linres-top",
-    "rfirst",
-    "regcol",
-    "deg2",
-    "banerjee-colon",
-    "colon-reg",
-    "regmain",
-    "remark45",
-)
+C_POLICIES = ("ones", "constant", "random", "explicit")
 
 JOBS_ENV_VAR = "BOUNDEDPOWERS_JOBS"
 
@@ -78,11 +65,11 @@ class SuiteConfig:
     random_count: int | None = None
     random_nmax: int = 5
     seed: int = 0
-    c_policy: str = "ones"  # ones | constant | random | explicit
+    c_policy: str = "ones"  # one of C_POLICIES
     c_value: int = 1  # constant value / random upper bound
     c_explicit: tuple[int, ...] | None = None
     char: int = 0
-    max_generators: int = 24
+    max_generators: int = DEFAULT_GENERATOR_CAP
     max_s: int | None = None
     jobs: int = 1
     ideal_max_generators: int = 6
@@ -92,10 +79,19 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
-        if self.c_policy not in ("ones", "constant", "random", "explicit"):
+        if self.c_policy not in C_POLICIES:
             raise ValueError(f"unknown c policy {self.c_policy!r}")
         if self.c_policy == "explicit" and not self.c_explicit:
             raise ValueError("explicit c policy needs c_explicit")
+        if self.c_explicit is not None and self.c_policy != "explicit":
+            raise ValueError(f"an explicit c needs c policy 'explicit', not {self.c_policy!r}")
+        sources = [name for name in ("nmax", "graph6_path", "random_count")
+                   if getattr(self, name) is not None]
+        if len(sources) > 1:
+            raise ValueError(f"choose one corpus source, got {' and '.join(sources)}")
+        kind = _SUITES[self.suite][0]
+        if sources and (kind == "fixed" or kind == "ideals" and sources != ["random_count"]):
+            raise ValueError(f"suite {self.suite!r} takes no {sources[0]}")
         if self.c_policy == "random" and self.c_value < 1:
             # every draw would be the all-zero vector, which is never accepted
             raise ValueError(f"random c policy needs c_value >= 1, got {self.c_value}")
@@ -447,6 +443,7 @@ _SUITES = {
     "regmain": ("graphs", _GraphSuite(_check_regmain, "delta={delta}: empty s-range", 1)),
     "remark45": ("fixed", _eval_remark45),
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _evaluate_instance(args: tuple[str, dict, SuiteConfig]) -> list[dict]:

@@ -225,6 +225,22 @@ class TestErrorHandling:
         code, out, err = run(capsys, ["verify", "--suite", "regmain"] + argv)
         assert code == 2 and ">= 1" in err and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "regmain", "--nmax", "3", "--count", "2",
+         "--c-policy", "constant", "--c-value", "2"],
+        ["--suite", "essen", "--nmax", "2", "--c", "5,5"],
+        ["--suite", "istanbul", "--graph6", "k2.g6", "--count", "1"],
+        ["--suite", "istanbul", "--graph6", "k2.g6"],
+        ["--suite", "remark45", "--nmax", "2"],
+    ])
+    def test_ignored_flag_is_refused(self, tmp_path, capsys, monkeypatch, argv):
+        # the run would ignore the flag while the report echoed it
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "k2.g6", "A_\n")
+        code, out, err = run(capsys, ["verify"] + argv)
+        assert code == 2 and err.startswith("error: ") and out == ""
+        assert "Traceback" not in err
+
     def test_max_s_below_the_s_range_reports_skips(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "colon-reg", "--nmax", "4",
                                     "--c-policy", "constant", "--c-value", "2",

@@ -1,5 +1,6 @@
-"""Source hygiene: no module keeps a top-level import it never uses, and no
-private top-level name outlives its last use."""
+"""Source hygiene: no module keeps a top-level import it never uses, no
+private top-level name outlives its last use, and no public name is kept
+for its own tests alone."""
 
 import ast
 from collections import Counter
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "boundedpowers"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -82,3 +84,67 @@ def test_detects_a_dead_private_name():
 def test_no_dead_private_name():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+# public names that no src/ module or demo reads, each with the reason it stays
+UNREAD_PUBLIC_ALLOWLIST = {
+    "connections.py:is_valid_even_connection":
+        "the witness checker that tests use as an oracle for find_even_connection",
+}
+
+
+def _public_definitions(node: ast.stmt) -> list[tuple[str, ast.AST]]:
+    """(name, definition) of a public top-level function or class, and of
+    every public method of a top-level class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    if not isinstance(node, (*functions, ast.ClassDef)):
+        return []
+    found = [] if node.name.startswith("_") else [(node.name, node)]
+    if isinstance(node, ast.ClassDef):
+        found += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                  if isinstance(sub, functions) and not sub.name.startswith("_")]
+    return found
+
+
+def unread_public_names(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``module:name`` for each public definition in ``sources`` that no code in
+    ``sources`` or ``readers`` reads outside its own definition.  A name is
+    matched bare, so a method counts as read wherever any attribute of that
+    name is read."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = sum((_loaded_names(tree) for tree in trees.values()), Counter())
+    reads += sum((_loaded_names(ast.parse(text)) for text in readers.values()), Counter())
+    return [
+        f"{module}:{qualified}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for qualified, definition in _public_definitions(node)
+        if reads[name := qualified.rpartition(".")[2]] - _loaded_names(definition)[name] <= 0
+    ]
+
+
+def test_detects_a_public_name_only_tests_read():
+    sources = {
+        "a.py": "def used():\n    pass\n"
+                "def read_by_tests():\n    pass\n"
+                "def recursive(n):\n    return recursive(n - 1)\n"
+                "class Kept:\n    def step(self):\n        return self.helper()\n"
+                "    def helper(self):\n        pass\n    def unused(self):\n        pass\n"
+                "    def _private(self):\n        pass\n",
+        "b.py": "from a import used\nused()\n",
+    }
+    readers = {"demo.py": "import a\na.Kept().step()\n"}
+    test_file = "from a import read_by_tests\nread_by_tests()\n"
+    # test files are not passed as readers, so their reads do not count
+    assert unread_public_names(sources, readers) == [
+        "a.py:read_by_tests", "a.py:recursive", "a.py:Kept.unused",
+    ]
+    assert unread_public_names(sources, {**readers, "test_a.py": test_file}) == [
+        "a.py:recursive", "a.py:Kept.unused",
+    ]
+
+
+def test_no_public_name_read_only_by_tests():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = {p.name: p.read_text(encoding="utf-8") for p in sorted(DEMOS.glob("*.py"))}
+    assert unread_public_names(sources, readers) == list(UNREAD_PUBLIC_ALLOWLIST)

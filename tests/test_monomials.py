@@ -11,10 +11,7 @@ from boundedpowers import (
     colon_mono,
     divides,
     is_bounded,
-    leq_componentwise,
     minimalize,
-    unit,
-    variable,
 )
 
 
@@ -50,16 +47,6 @@ class TestMonomialOps:
         assert is_bounded((1, 1), (1, 1))
         assert not is_bounded((2, 0), (1, 1))
         assert is_bounded((0, 0), (0, 0))
-
-    def test_leq_componentwise(self):
-        assert leq_componentwise((0, 1), (1, 1))
-        assert not leq_componentwise((2, 0), (1, 1))
-
-    def test_variable_and_unit(self):
-        assert variable(3, 2) == (0, 1, 0)
-        assert unit(3) == (0, 0, 0)
-        with pytest.raises(ValueError):
-            variable(3, 4)
 
 
 class TestMinimalize:
@@ -127,7 +114,7 @@ class TestIdealOps:
 
     def test_colon_by_one(self):
         i = ideal(3, (1, 1, 0), (0, 1, 1))
-        assert i.colon(unit(3)) == i
+        assert i.colon((0, 0, 0)) == i
 
     def test_colon_splits_variables(self):
         assert ideal(3, (1, 1, 0), (0, 1, 1)).colon((0, 1, 0)).gens == (

@@ -8,6 +8,7 @@ import pytest
 from boundedpowers import (
     Graph,
     bounded_power,
+    bounded_power_chain,
     complete_graph,
     cycle_graph,
     delta,
@@ -19,7 +20,6 @@ from boundedpowers import (
     is_polymatroidal,
     minimalize,
     squarefree_power,
-    top_power_is_polymatroidal,
 )
 
 REMARK_IDEAL = minimalize(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
@@ -98,15 +98,13 @@ class TestTopPower:
             edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5]
             g = Graph.from_edges(n, edges)
             c = tuple(rng.randint(0, 2) for _ in range(n))
-            if delta(g.edge_ideal(), c) == 0:
-                with pytest.raises(ValueError):
-                    top_power_is_polymatroidal(g, c)
-                continue
-            assert top_power_is_polymatroidal(g, c)
+            chain = bounded_power_chain(g.edge_ideal(), c)
+            if chain:
+                assert is_polymatroidal(chain[-1])
 
     def test_principal_top_power(self):
-        assert top_power_is_polymatroidal(complete_graph(2), (3, 2))
-        top = bounded_power(complete_graph(2).edge_ideal(), 2, (3, 2))
+        top = bounded_power_chain(complete_graph(2).edge_ideal(), (3, 2))[-1]
+        assert is_polymatroidal(top)
         assert top.gens == ((2, 2),)
 
     def test_polymatroidal_implies_linear_quotients(self):
@@ -124,4 +122,4 @@ class TestTopPower:
             assert find_lq_ordering(ideal) is not None
 
     def test_cycle_with_uneven_bounds(self):
-        assert top_power_is_polymatroidal(cycle_graph(4), (2, 1, 1, 2))
+        assert is_polymatroidal(bounded_power_chain(cycle_graph(4).edge_ideal(), (2, 1, 1, 2))[-1])

@@ -51,6 +51,37 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be >= 1"):
             SuiteConfig(suite="regmain", **corpus)
 
+    @pytest.mark.parametrize("corpus", [
+        dict(nmax=3, random_count=2),
+        dict(nmax=3, graph6_path="g.g6"),
+        dict(graph6_path="g.g6", random_count=2),
+    ], ids=["nmax+count", "nmax+graph6", "graph6+count"])
+    def test_one_corpus_source(self, corpus):
+        # only one source is ever read, so a second one would be echoed but ignored
+        with pytest.raises(ValueError, match="choose one corpus source"):
+            SuiteConfig(suite="regmain", **corpus)
+
+    @pytest.mark.parametrize("policy", ["ones", "constant", "random"])
+    def test_explicit_vector_needs_explicit_policy(self, policy):
+        with pytest.raises(ValueError, match="needs c policy 'explicit'"):
+            SuiteConfig(suite="essen", nmax=2, c_policy=policy, c_explicit=(5, 5))
+
+    @pytest.mark.parametrize("suite, corpus", [
+        ("boston", dict(nmax=2)),
+        ("istanbul", dict(graph6_path="g.g6")),
+        ("remark45", dict(nmax=2)),
+        ("remark45", dict(graph6_path="g.g6")),
+        ("remark45", dict(random_count=2)),
+    ])
+    def test_corpus_field_the_suite_does_not_read(self, suite, corpus):
+        with pytest.raises(ValueError, match=f"suite '{suite}' takes no"):
+            SuiteConfig(suite=suite, **corpus)
+
+    def test_corpus_fields_each_suite_reads(self):
+        SuiteConfig(suite="boston", random_count=2)
+        SuiteConfig(suite="remark45")
+        SuiteConfig(suite="essen", graph6_path="g.g6", c_policy="explicit", c_explicit=(1, 2))
+
     def test_max_s_below_the_s_range_is_a_skip(self):
         # colon-reg starts at s = 2, so max_s = 1 leaves every instance without
         # an s; each one must still be reported
