@@ -39,7 +39,6 @@ from .homology import (
     rank_of_rows,
     reduced_homology_ranks,
     regularity,
-    upper_koszul,
 )
 from .linquot import (
     LQOrdering,

@@ -2,15 +2,30 @@
 Castelnuovo-Mumford regularity.
 
 Betti numbers of a monomial ideal are read off reduced homology of upper
-Koszul complexes at the multidegrees of the lcm lattice.  Each upper Koszul
-complex is built from its facets, one per generator dividing the multidegree
-(Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34), and closed
-downward over bitmasks of the support.  Homology ranks come from exact ranks
-of boundary matrices: integer fraction-free elimination for characteristic 0,
-modular elimination for prime characteristic.  Two further routes to the
-same table exist for cross-validation: restriction-complex homology on
-squarefree ideals and the degreewise strands of the full generator-subset
-resolution.
+Koszul complexes at the multidegrees of the lcm lattice (Miller-Sturmfels,
+Combinatorial Commutative Algebra, Thm 1.34).  Homology ranks come from exact
+ranks of boundary matrices: integer fraction-free elimination for
+characteristic 0, modular elimination for prime characteristic.  Two further
+routes to the same table exist for cross-validation: restriction-complex
+homology on squarefree ideals and the degreewise strands of the full
+generator-subset resolution.
+
+``betti_table`` runs on packed monomials (``monomials._Packing``) from start
+to finish.  The generators are packed once, with fields of
+``w = top.bit_length() + 1`` bits for ``top`` the largest exponent; the top
+bit of each field is a guard bit, and ``H`` and ``L`` hold a guard bit and a
+1 in every field.  The lcm lattice is closed under a branch-free field-wise
+max: ``ge = ((a | H) - b) & H`` has the guard bit of each field where
+``a >= b``, ``mask = ge - (ge >> (w - 1))`` fills the low bits of those
+fields, and ``max(a, b) = (a & mask) | (b & ~mask)``.  At a lattice point
+``m``, a generator ``g`` divides ``m`` iff ``((m | H) - g) & H == H``, and
+then ``((m | H) - g - L) & H`` has the guard bit of each variable with
+``g_i < m_i``.  That mask is a facet of the upper Koszul complex at ``m``;
+its faces are the submasks of the facets, grouped by popcount, and the
+boundary of a face is keyed by the face with one guard bit cleared.  A
+complex whose facets share a vertex is a cone and is skipped, since it has
+no reduced homology.  No tuple face and no ``SimplicialComplex`` is built on
+this path; that type serves the restriction-complex route.
 """
 
 from __future__ import annotations
@@ -18,13 +33,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd as _gcd, isqrt
-from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from .monomials import (
     Monomial,
     MonomialIdeal,
-    _check_monomial,
+    _Packing,
     degree,
     lcm,
     support,
@@ -246,49 +260,78 @@ def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, PolarizationMap]:
     return polarized, PolarizationMap(ideal.n, mults)
 
 
-def upper_koszul(ideal: MonomialIdeal, m: Monomial) -> SimplicialComplex:
-    """The complex on supp(m) whose faces are the subsets sigma with
-    m - e_sigma in the ideal; its reduced homology in degree i-1 is the Betti
-    number of the ideal at (i, m).
+def _packed_gens(ideal: MonomialIdeal) -> tuple[_Packing, list[int]]:
+    """A packing wide enough for every exponent of the ideal, and its packed
+    generators."""
+    packing = _Packing(ideal.n, max((max(g) for g in ideal.gens), default=0))
+    return packing, [packing.pack(g) for g in ideal.gens]
 
-    Built from its facets (Miller-Sturmfels, Combinatorial Commutative
-    Algebra, Thm 1.34): m - e_sigma is a member iff some generator g dividing
-    m has g_i < m_i on all of sigma, so each such g gives the facet
-    {i in supp(m) : g_i < m_i}, and the faces are their subsets.
-    """
-    m = _check_monomial(ideal.n, m)
-    supp = support(m)
+
+def _packed_lattice(packing: _Packing, gens: list[int]) -> set[int]:
+    """The lcm lattice of packed generators, closed under the field-wise max."""
+    guard, shift = packing.guard, packing.width - 1
+    lattice = set(gens)
+    frontier = lattice
+    while frontier:
+        joins = set()
+        for a in frontier:
+            guarded = a | guard
+            for b in gens:
+                ge = (guarded - b) & guard
+                mask = ge - (ge >> shift)
+                joins.add((a & mask) | (b & ~mask))
+        frontier = joins - lattice
+        lattice |= frontier
+    return lattice
+
+
+def _koszul_facets(packing: _Packing, gens: list[int], m: int) -> set[int]:
+    """Facets of the upper Koszul complex at packed m, as guard-bit masks: one
+    per generator g dividing m, holding the variables with g_i < m_i."""
+    guard, ones = packing.guard, packing.ones
+    guarded = m | guard
     facets = set()
-    for g in ideal.gens:
-        if all(map(le, g, m)):
-            facets.add(sum(1 << t for t, v in enumerate(supp) if g[v - 1] < m[v - 1]))
-    if not facets:
-        raise ValueError("multidegree is not a member of the ideal")
-    masks = {0}
+    for g in gens:
+        d = guarded - g
+        if d & guard == guard:
+            facets.add((d - ones) & guard)
+    return facets
+
+
+def _faces(facets: Iterable[int]) -> set[int]:
+    """Every submask of the given masks: the complex they span (void if none)."""
+    faces = set()
     for f in facets:
         sub = f
         while sub:
-            masks.add(sub)
+            faces.add(sub)
             sub = (sub - 1) & f
-    return SimplicialComplex(
-        tuple(v for t, v in enumerate(supp) if mask >> t & 1) for mask in masks
-    )
+        faces.add(0)
+    return faces
+
+
+def _mask_boundary_rows(level: list[int]) -> list[dict[int, int]]:
+    """Rows of the boundary map on faces of one size, keyed by face masks;
+    the variables are ordered by bit position."""
+    rows = []
+    for f in level:
+        row = {}
+        rest, sign = f, 1
+        while rest:
+            low = rest & -rest
+            row[f ^ low] = sign
+            sign = -sign
+            rest ^= low
+        rows.append(row)
+    return rows
 
 
 def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
-    """All least common multiples of nonempty sets of minimal generators."""
-    lattice: set[Monomial] = set(ideal.gens)
-    frontier = set(ideal.gens)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for g in ideal.gens:
-                b = tuple(map(max, a, g))
-                if b not in lattice:
-                    new.add(b)
-        lattice |= new
-        frontier = new
-    return sorted(lattice, key=lambda u: (degree(u), u))
+    """All least common multiples of nonempty sets of minimal generators,
+    sorted by degree, then lexicographically."""
+    packing, gens = _packed_gens(ideal)
+    return sorted(map(packing.unpack, _packed_lattice(packing, gens)),
+                  key=lambda u: (degree(u), u))
 
 
 @dataclass(frozen=True)
@@ -321,18 +364,32 @@ class BettiTable:
 
 def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     """Graded Betti numbers of the ideal via upper Koszul complex homology,
-    summed over the multidegrees of the lcm lattice."""
+    summed over the multidegrees of the lcm lattice: beta_{i,m} is the
+    reduced homology of the complex at m in degree i - 1."""
     if ideal.is_zero():
         raise ValueError("the zero ideal has no Betti table")
     check_characteristic(char)
+    packing, gens = _packed_gens(ideal)
     table: dict[tuple[int, int], int] = {}
-    for m in lcm_lattice(ideal):
-        ranks = reduced_homology_ranks(upper_koszul(ideal, m), char)
-        j = degree(m)
-        for k, h in ranks.items():
-            if h and k + 1 >= 0:
-                key = (k + 1, j)
-                table[key] = table.get(key, 0) + h
+    for m in _packed_lattice(packing, gens):
+        facets = _koszul_facets(packing, gens, m)
+        apex = packing.guard
+        for f in facets:
+            apex &= f
+        if apex:
+            continue  # a cone over a shared vertex
+        by_size: dict[int, list[int]] = {}
+        for f in _faces(facets):
+            by_size.setdefault(f.bit_count(), []).append(f)
+        ranks = [0] * (len(by_size) + 1)  # ranks[k]: the boundary on size-k faces
+        for k in range(1, len(by_size)):
+            # the boundary on the vertices is the augmentation, of rank 1
+            ranks[k] = rank_of_rows(_mask_boundary_rows(by_size[k]), char) if k > 1 else 1
+        j = degree(packing.unpack(m))
+        for k, level in by_size.items():
+            h = len(level) - ranks[k] - ranks[k + 1]
+            if h:
+                table[(k, j)] = table.get((k, j), 0) + h
     return BettiTable.from_dict(char, table)
 
 

@@ -26,8 +26,7 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -89,9 +88,18 @@ class SuiteConfig:
                    if getattr(self, name) is not None]
         if len(sources) > 1:
             raise ValueError(f"choose one corpus source, got {' and '.join(sources)}")
-        kind = _SUITES[self.suite][0]
+        kind, evaluate = _SUITES[self.suite]
         if sources and (kind == "fixed" or kind == "ideals" and sources != ["random_count"]):
             raise ValueError(f"suite {self.suite!r} takes no {sources[0]}")
+        has_s_range = isinstance(evaluate, _GraphSuite) and evaluate.first is not None
+        if self.max_s is not None and not has_s_range:
+            raise ValueError(f"suite {self.suite!r} has no s-range, so it takes no max_s")
+        if kind in ("fixed", "ideals"):
+            defaults = {f.name: f.default for f in fields(self)}
+            for name in ("c_policy", "c_value", "c_explicit"):
+                if getattr(self, name) != defaults[name]:
+                    raise ValueError(f"suite {self.suite!r} draws no c from the c policy, "
+                                     f"so it takes no {name}")
         if self.c_policy == "random" and self.c_value < 1:
             # every draw would be the all-zero vector, which is never accepted
             raise ValueError(f"random c policy needs c_value >= 1, got {self.c_value}")
@@ -479,6 +487,10 @@ def _isomorphism_classes(forms: list[tuple | None]) -> list[list[int]]:
 def _evaluate(cfg: SuiteConfig, payloads: list[dict]) -> list[list[dict]]:
     work = [(cfg.suite, payload, cfg) for payload in payloads]
     if cfg.jobs > 1 and len(work) > 1:
+        # imported here: the pool module pulls in multiprocessing, which a
+        # one-process run would pay for at every start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             return list(pool.map(_evaluate_instance, work, chunksize=8))
     return [_evaluate_instance(item) for item in work]

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, I/O conventions, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +18,6 @@ P4_JSON = '{"n": 4, "edges": [[1,2],[2,3],[3,4]]}'
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
         import io
-        import sys
 
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
@@ -232,6 +235,11 @@ class TestErrorHandling:
         ["--suite", "istanbul", "--graph6", "k2.g6", "--count", "1"],
         ["--suite", "istanbul", "--graph6", "k2.g6"],
         ["--suite", "remark45", "--nmax", "2"],
+        ["--suite", "boston", "--count", "3", "--c-policy", "constant", "--c-value", "3",
+         "--max-s", "1"],
+        ["--suite", "boston", "--count", "3", "--c-policy", "constant", "--c-value", "3"],
+        ["--suite", "essen", "--nmax", "3", "--max-s", "1"],
+        ["--suite", "remark45", "--c-policy", "constant", "--c-value", "3"],
     ])
     def test_ignored_flag_is_refused(self, tmp_path, capsys, monkeypatch, argv):
         # the run would ignore the flag while the report echoed it
@@ -256,3 +264,15 @@ class TestErrorHandling:
     def test_malformed_json_shape(self, capsys, monkeypatch, command, text):
         code, _, err = run(capsys, command, stdin=text, monkeypatch=monkeypatch)
         assert code == 2 and "must look like" in err
+
+
+class TestStartup:
+    def test_import_leaves_the_process_pool_out(self):
+        # a --jobs 1 run never uses the pool, so it must not pay at every
+        # start for importing it and multiprocessing
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, boundedpowers.cli; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

@@ -1,8 +1,9 @@
 """Exact homology, polarization, Betti tables, and regularity.
 
 The Betti machinery is validated three ways at small scale: upper Koszul
-complexes (the production path), restriction-complex homology on squarefree
-ideals, and strands of the generator-subset resolution.
+complexes on packed face masks (the production path), restriction-complex
+homology on squarefree ideals, and strands of the generator-subset
+resolution.
 """
 
 import json
@@ -30,9 +31,13 @@ from boundedpowers import (
     rank_of_rows,
     reduced_homology_ranks,
     regularity,
-    upper_koszul,
 )
-from boundedpowers.homology import check_characteristic
+from boundedpowers.homology import (
+    _faces,
+    _koszul_facets,
+    _packed_gens,
+    check_characteristic,
+)
 
 # antipodally identified icosahedron: the 6-vertex projective plane
 PROJECTIVE_PLANE_FACETS = [
@@ -68,6 +73,42 @@ def random_ideal(rng, nmax=5, max_gens=5, max_exp=2):
         if any(g):
             gens.append(g)
     return minimalize(n, gens or [(1,) + (0,) * (n - 1)])
+
+
+def boundary_ideals():
+    """Ideals whose largest exponent is 0 (the unit ideal) or on either side
+    of a change of the packed field width (top.bit_length() + 1).  Each top
+    has a principal ideal and a two-generator one in two variables, whose
+    polarizations stay narrow, and five random ones."""
+    rng = random.Random(127)
+    ideals = [minimalize(3, [(0, 0, 0)])]
+    for top in (1, 3, 4, 7, 8, 15, 16):
+        ideals.append(minimalize(2, [(top, 1)]))
+        ideals.append(minimalize(2, [(top, 0), (top - 1, 1)]))
+        found = 0
+        while found < 5:
+            n = rng.randint(1, 4)
+            gens = [tuple(rng.choice((0, 1, top - 1, top, rng.randint(0, top))) for _ in range(n))
+                    for _ in range(rng.randint(2, 5))]
+            ideal = minimalize(n, gens)
+            if max(max(g) for g in ideal.gens) == top and not ideal.is_unit():
+                ideals.append(ideal)
+                found += 1
+    return ideals
+
+
+def koszul_faces(ideal, m):
+    """The upper Koszul complex at m from the face-mask builder, each mask
+    decoded to its variables, sorted by size and then lexicographically."""
+    packing, gens = _packed_gens(ideal)
+    masks = _faces(_koszul_facets(packing, gens, packing.pack(m)))
+    # a face mask holds guard bits only; moved to the bottom of their fields,
+    # they unpack to the 0/1 vector of the face
+    faces = [
+        tuple(i for i, bit in enumerate(packing.unpack(mask >> (packing.width - 1)), start=1) if bit)
+        for mask in masks
+    ]
+    return sorted(faces, key=lambda f: (len(f), f))
 
 
 class TestSimplicialComplex:
@@ -195,25 +236,20 @@ class TestPolarize:
 class TestUpperKoszul:
     def test_generator_multidegree(self):
         ideal = minimalize(2, [(1, 1)])
-        assert upper_koszul(ideal, (1, 1)).all_faces() == [()]
+        assert koszul_faces(ideal, (1, 1)) == [()]
 
     def test_koszul_relation(self):
         ideal = minimalize(2, [(1, 0), (0, 1)])
-        assert upper_koszul(ideal, (1, 1)).all_faces() == [(), (1,), (2,)]
+        assert koszul_faces(ideal, (1, 1)) == [(), (1,), (2,)]
 
-    def test_rejects_non_member(self):
-        with pytest.raises(ValueError):
-            upper_koszul(minimalize(2, [(1, 1)]), (1, 0))
-
-    def test_rejects_ambient_mismatch(self):
-        with pytest.raises(ValueError):
-            upper_koszul(minimalize(2, [(1, 1)]), (1, 1, 1))
+    def test_non_member_is_void(self):
+        assert koszul_faces(minimalize(2, [(1, 1)]), (1, 0)) == []
 
     def test_matches_definition_on_lcm_lattice(self):
         # faces: every sigma in supp(m) with m - e_sigma in the ideal
         rng = random.Random(113)
-        for _ in range(60):
-            ideal = random_ideal(rng, nmax=5, max_gens=5, max_exp=2)
+        ideals = [random_ideal(rng, nmax=5, max_gens=5, max_exp=2) for _ in range(60)]
+        for ideal in ideals + boundary_ideals():
             for m in lcm_lattice(ideal):
                 supp = [i for i in range(1, ideal.n + 1) if m[i - 1]]
                 expected = sorted(
@@ -225,7 +261,7 @@ class TestUpperKoszul:
                      )),
                     key=lambda f: (len(f), f),
                 )
-                assert upper_koszul(ideal, m).all_faces() == expected
+                assert koszul_faces(ideal, m) == expected
 
 
 class TestBettiTable:
@@ -261,6 +297,19 @@ class TestBettiTable:
     def test_zero_ideal_rejected(self):
         with pytest.raises(ValueError):
             betti_table(minimalize(2, []))
+
+    def test_builds_no_tuple_complex(self, monkeypatch):
+        # the production path works on face masks; SimplicialComplex serves
+        # the restriction-complex route alone
+        def refuse(self, faces):
+            raise AssertionError("betti_table built a SimplicialComplex")
+
+        rng = random.Random(131)
+        ideals = [random_ideal(rng) for _ in range(10)] + [cycle_graph(5).edge_ideal()]
+        monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+        for ideal in ideals:
+            assert betti_table(ideal).entries
+            assert regularity(ideal, 2) >= 1
 
     def test_json_round_trip(self):
         table = betti_table(path_graph(4).edge_ideal())
@@ -325,6 +374,20 @@ class TestOracleAgreement:
             polarized, _ = polarize(ideal)
             assert betti_table_hochster(polarized, 2).entries == reference.entries
 
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_three_routes_agree_at_field_boundaries(self, char):
+        for ideal in boundary_ideals():
+            reference = betti_table(ideal, char)
+            assert betti_table_taylor(ideal, char) == reference
+            if ideal.is_unit():
+                assert reference.entries == ((0, 0, 1),)
+                continue
+            polarized, _ = polarize(ideal)
+            # a restriction complex has up to 2^n faces, so the route is
+            # checked on the narrow polarizations only (top <= 8)
+            if polarized.n <= 10:
+                assert betti_table_hochster(polarized, char).entries == reference.entries
+
     def test_hochster_requires_squarefree(self):
         with pytest.raises(ValueError):
             betti_table_hochster(minimalize(2, [(2, 0)]))
@@ -345,8 +408,8 @@ class TestLcmLattice:
 
     def test_matches_subset_enumeration(self):
         rng = random.Random(109)
-        for _ in range(20):
-            ideal = random_ideal(rng, nmax=4, max_gens=4)
+        ideals = [random_ideal(rng, nmax=4, max_gens=4) for _ in range(20)]
+        for ideal in ideals + boundary_ideals():
             expected = set()
             gens = ideal.gens
             for size in range(1, len(gens) + 1):

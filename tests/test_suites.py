@@ -77,9 +77,36 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"suite '{suite}' takes no"):
             SuiteConfig(suite=suite, **corpus)
 
+    @pytest.mark.parametrize("suite, corpus", [
+        ("edge-lq", dict(nmax=2, **C2)),
+        ("squarefree-lq", dict(nmax=2)),
+        ("essen", dict(nmax=2)),
+        ("linres-top", dict(nmax=2)),
+        ("boston", dict(random_count=2)),
+        ("istanbul", dict(random_count=2)),
+        ("remark45", dict()),
+    ])
+    def test_max_s_on_a_suite_without_s_range(self, suite, corpus):
+        with pytest.raises(ValueError, match=f"suite '{suite}' has no s-range"):
+            SuiteConfig(suite=suite, max_s=1, **corpus)
+
+    @pytest.mark.parametrize("suite, corpus", [
+        ("boston", dict(random_count=2)),
+        ("istanbul", dict(random_count=2)),
+        ("remark45", dict()),
+    ])
+    @pytest.mark.parametrize("c_fields", [
+        C2, dict(c_policy="random"), dict(c_value=3),
+        dict(c_policy="explicit", c_explicit=(1, 2)),
+    ], ids=["constant", "random", "value", "explicit"])
+    def test_c_field_the_suite_does_not_read(self, suite, corpus, c_fields):
+        with pytest.raises(ValueError, match=f"suite '{suite}' draws no c"):
+            SuiteConfig(suite=suite, **corpus, **c_fields)
+
     def test_corpus_fields_each_suite_reads(self):
         SuiteConfig(suite="boston", random_count=2)
         SuiteConfig(suite="remark45")
+        SuiteConfig(suite="regmain", nmax=2, max_s=1, **C2)
         SuiteConfig(suite="essen", graph6_path="g.g6", c_policy="explicit", c_explicit=(1, 2))
 
     def test_max_s_below_the_s_range_is_a_skip(self):
