@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .connections import colon_quadrics
 from .graphs import Graph, Graph6Error, parse_graph6
@@ -20,7 +21,7 @@ from .linquot import DEFAULT_GENERATOR_CAP, SearchCapExceeded, find_lq_ordering,
 from .monomials import MonomialIdeal
 from .polymatroid import is_equigenerated, is_matroidal, is_polymatroidal
 from .powers import delta
-from .suites import C_POLICIES, SUITE_NAMES, SuiteConfig, default_jobs, run_suite
+from .suites import C_POLICIES, SUITE_NAMES, SuiteConfig, run_suite
 
 
 def _read_input(args) -> str:
@@ -138,22 +139,10 @@ def _cmd_colon_quadrics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = SuiteConfig(
-        suite=args.suite,
-        nmax=args.nmax,
-        graph6_path=args.graph6,
-        random_count=args.count,
-        random_nmax=args.random_nmax,
-        seed=args.seed,
-        c_policy=args.c_policy,
-        c_value=args.c_value,
-        c_explicit=_parse_vector(args.c) if args.c else None,
-        char=args.char,
-        max_generators=args.max_gens,
-        max_s=args.max_s,
-        jobs=args.jobs,
-    )
-    report = run_suite(cfg)
+    options = {f.name: getattr(args, f.name) for f in fields(SuiteConfig) if hasattr(args, f.name)}
+    if "c_explicit" in options:
+        options["c_explicit"] = _parse_vector(options["c_explicit"])
+    report = run_suite(SuiteConfig(**options))
     _write_output(args, report.to_json())
     return 1 if report.failed else 0
 
@@ -210,22 +199,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_options(p_cq)
     p_cq.set_defaults(func=_cmd_colon_quadrics)
 
-    p_verify = sub.add_parser("verify", help="run a theorem-verification suite")
+    # no defaults here: a flag that is not given keeps the SuiteConfig default
+    p_verify = sub.add_parser("verify", help="run a theorem-verification suite",
+                              argument_default=argparse.SUPPRESS)
     p_verify.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
     p_verify.add_argument("--nmax", type=int, help="enumerate all labeled graphs on 1..N vertices")
-    p_verify.add_argument("--graph6", help="corpus file of graph6 lines")
-    p_verify.add_argument("--count", type=int, help="random corpus size")
-    p_verify.add_argument("--random-nmax", type=int, default=5,
-                          help="vertex cap for random corpora")
-    p_verify.add_argument("--c-policy", default="ones", choices=C_POLICIES)
-    p_verify.add_argument("--c-value", type=int, default=1,
+    p_verify.add_argument("--graph6", dest="graph6_path", metavar="FILE",
+                          help="corpus file of graph6 lines")
+    p_verify.add_argument("--count", dest="random_count", metavar="N", type=int,
+                          help="random corpus size")
+    p_verify.add_argument("--random-nmax", type=int, help="vertex cap for random corpora")
+    p_verify.add_argument("--c-policy", choices=C_POLICIES)
+    p_verify.add_argument("--c-value", type=int,
                           help="constant value / random upper bound for c entries")
-    p_verify.add_argument("--c", help="explicit bound vector (with --c-policy explicit)")
-    p_verify.add_argument("--char", type=int, default=0)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--jobs", type=int, default=default_jobs())
-    p_verify.add_argument("--max-gens", type=int, default=DEFAULT_GENERATOR_CAP)
-    p_verify.add_argument("--max-s", type=int, default=None)
+    p_verify.add_argument("--c", dest="c_explicit", metavar="C",
+                          help="explicit bound vector (with --c-policy explicit)")
+    p_verify.add_argument("--char", type=int)
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--jobs", type=int)
+    p_verify.add_argument("--max-gens", dest="max_generators", metavar="N", type=int)
+    p_verify.add_argument("--max-s", type=int)
     p_verify.add_argument("--out", help="write the report to FILE")
     p_verify.set_defaults(func=_cmd_verify)
 

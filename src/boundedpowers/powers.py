@@ -111,25 +111,28 @@ def delta_bmatching(graph: Graph, c: BoundVector) -> int:
     suffix_vertices: list[set[int]] = [set() for _ in range(len(edges) + 1)]
     for k in range(len(edges) - 1, -1, -1):
         suffix_vertices[k] = suffix_vertices[k + 1] | set(edges[k])
-    best = 0
-
-    def search(k: int, total: int) -> None:
-        nonlocal best
-        if total > best:
-            best = total
-        if k == len(edges):
-            return
-        room = sum(caps[v] for v in suffix_vertices[k]) // 2
-        if total + room <= best:
-            return
-        i, j = edges[k]
-        top = min(caps[i], caps[j])
-        for m in range(top, -1, -1):
-            caps[i] -= m
-            caps[j] -= m
-            search(k + 1, total + m)
-            caps[i] += m
-            caps[j] += m
-
-    search(0, 0)
-    return best
+    best = total = 0
+    # the multiplicity of each edge on the current branch; the search keeps
+    # its own stack, so the edge count is not bounded by the recursion limit
+    chosen: list[int] = []
+    while True:
+        k = len(chosen)
+        best = max(best, total)
+        if k < len(edges) and total + sum(caps[v] for v in suffix_vertices[k]) // 2 > best:
+            m = min(caps[edges[k][0]], caps[edges[k][1]])  # most copies first
+        else:  # back up to the deepest edge that can take one copy fewer
+            m = -1
+            while m < 0 and chosen:
+                m = chosen.pop()
+                i, j = edges[len(chosen)]
+                caps[i] += m
+                caps[j] += m
+                total -= m
+                m -= 1
+            if m < 0:
+                return best
+        i, j = edges[len(chosen)]
+        caps[i] -= m
+        caps[j] -= m
+        total += m
+        chosen.append(m)

@@ -23,7 +23,6 @@ evaluated member by member.
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -49,14 +48,28 @@ from .monomials import MonomialIdeal, minimalize
 from .polymatroid import is_matroidal, is_polymatroidal
 from .powers import bounded_power_chain
 
-C_POLICIES = ("ones", "constant", "random", "explicit")
+# c policy -> the config fields it reads besides c_policy
+_POLICY_READS = {"ones": (), "constant": ("c_value",), "random": ("c_value", "seed"),
+                 "explicit": ("c_explicit",)}
+C_POLICIES = tuple(_POLICY_READS)
 
-JOBS_ENV_VAR = "BOUNDEDPOWERS_JOBS"
+# corpus -> the config fields a run on it reads; a random graph corpus also
+# reads random_nmax and seed
+_CORPUS_READS = {
+    "graphs": ("nmax", "graph6_path", "random_count"),
+    "ideals": ("random_count", "random_nmax", "seed", "ideal_max_generators",
+               "ideal_max_exponent", "samples_per_instance"),
+    "fixed": (),
+}
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Everything a suite run depends on; echoed into the report."""
+    """Everything a suite run depends on; echoed into the report.
+
+    A field the run does not read (see ``_Suite``) must keep its default, so
+    the echoed config never claims a setting that was not applied.
+    """
 
     suite: str
     nmax: int | None = None
@@ -80,37 +93,34 @@ class SuiteConfig:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
         if self.c_policy not in C_POLICIES:
             raise ValueError(f"unknown c policy {self.c_policy!r}")
-        if self.c_policy == "explicit" and not self.c_explicit:
-            raise ValueError("explicit c policy needs c_explicit")
-        if self.c_explicit is not None and self.c_policy != "explicit":
-            raise ValueError(f"an explicit c needs c policy 'explicit', not {self.c_policy!r}")
         sources = [name for name in ("nmax", "graph6_path", "random_count")
                    if getattr(self, name) is not None]
         if len(sources) > 1:
             raise ValueError(f"choose one corpus source, got {' and '.join(sources)}")
-        kind, evaluate = _SUITES[self.suite]
-        if sources and (kind == "fixed" or kind == "ideals" and sources != ["random_count"]):
-            raise ValueError(f"suite {self.suite!r} takes no {sources[0]}")
-        has_s_range = isinstance(evaluate, _GraphSuite) and evaluate.first is not None
-        if self.max_s is not None and not has_s_range:
-            raise ValueError(f"suite {self.suite!r} has no s-range, so it takes no max_s")
-        if kind in ("fixed", "ideals"):
-            defaults = {f.name: f.default for f in fields(self)}
-            for name in ("c_policy", "c_value", "c_explicit"):
-                if getattr(self, name) != defaults[name]:
-                    raise ValueError(f"suite {self.suite!r} draws no c from the c policy, "
-                                     f"so it takes no {name}")
+        # the fields this run reads: those of its suite, corpus and c policy
+        suite = _SUITES[self.suite]
+        read = {"suite", "jobs", *suite.reads.split(), *_CORPUS_READS[suite.corpus]}
+        if suite.corpus == "graphs" and self.random_count is not None:
+            read |= {"random_nmax", "seed"}
+        if suite.c_floor is not None:
+            read |= {"c_policy", *_POLICY_READS[self.c_policy]}
+        for f in fields(self):
+            if f.name not in read and getattr(self, f.name) != f.default:
+                raise ValueError(f"suite {self.suite!r} does not read {f.name} in this run, "
+                                 f"so it cannot be set (got {getattr(self, f.name)!r})")
+        if self.c_policy == "explicit" and not self.c_explicit:
+            raise ValueError("explicit c policy needs c_explicit")
         if self.c_policy == "random" and self.c_value < 1:
             # every draw would be the all-zero vector, which is never accepted
             raise ValueError(f"random c policy needs c_value >= 1, got {self.c_value}")
-        if self.nmax is not None and self.nmax < 1:
-            raise ValueError(f"nmax must be >= 1, got {self.nmax}")
-        if self.random_count is not None and self.random_count < 1:
-            raise ValueError(f"random corpus size must be >= 1, got {self.random_count}")
-        if self.max_generators < 1 or self.jobs < 1:
-            raise ValueError("caps and jobs must be positive")
-        if self.max_s is not None and self.max_s < 1:
-            raise ValueError(f"max_s must be >= 1, got {self.max_s}")
+        floor = suite.c_floor
+        if (self.c_policy == "constant" and self.c_value < floor
+                or self.c_policy == "explicit" and min(self.c_explicit) < floor):
+            raise ValueError(f"suite {self.suite!r} needs every entry of c >= {floor}")
+        for name in ("nmax", "random_count", "max_generators", "max_s", "jobs"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         check_characteristic(self.char)
 
 
@@ -123,12 +133,8 @@ class VerificationReport:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self, with_timings: bool = True) -> dict:
-        data = {
-            "config": self.config,
-            "records": self.records,
-            "counterexamples": self.counterexamples,
-            "summary": self.summary,
-        }
+        data = {"config": self.config, "records": self.records,
+                "counterexamples": self.counterexamples, "summary": self.summary}
         if with_timings:
             data["timings"] = self.timings
         return data
@@ -149,32 +155,27 @@ def _c_string(c) -> str:
     return ",".join(str(x) for x in c)
 
 
-def _draw_c(rng: random.Random, n: int, cfg: SuiteConfig, strictly_positive: bool) -> tuple[int, ...]:
+def _draw_c(rng: random.Random, n: int, cfg: SuiteConfig) -> tuple[int, ...]:
+    """The bound c of one corpus graph on n vertices.  ``SuiteConfig`` has
+    already held the policy's values to the suite's ``c_floor``."""
     if cfg.c_policy == "ones":
         return (1,) * n
     if cfg.c_policy == "constant":
-        if strictly_positive and cfg.c_value < 1:
-            raise ValueError("this suite requires strictly positive bounds")
         return (cfg.c_value,) * n
     if cfg.c_policy == "explicit":
         c = cfg.c_explicit
         if len(c) != n:
             raise ValueError(f"explicit c has length {len(c)}, corpus graph has n={n}")
-        if strictly_positive and any(x < 1 for x in c):
-            raise ValueError("this suite requires strictly positive bounds")
         return tuple(c)
-    # random entries in [0, c_value]; all-zero vectors are resampled, and so is
-    # any zero entry when the statement under test requires positivity
-    low = 1 if strictly_positive else 0
+    # random entries in [c_floor, c_value]; all-zero vectors are resampled
+    low = _SUITES[cfg.suite].c_floor
     while True:
-        c = tuple(rng.randint(low, max(cfg.c_value, low)) for _ in range(n))
+        c = tuple(rng.randint(low, cfg.c_value) for _ in range(n))
         if any(c):
             return c
 
 
-def _graph_instances(
-    cfg: SuiteConfig, strictly_positive: bool, force_ones: bool
-) -> tuple[list[dict], list[tuple | None]]:
+def _graph_instances(cfg: SuiteConfig) -> tuple[list[dict], list[tuple | None]]:
     """The corpus payloads, and the canonical form of each (G, c) or None."""
     rng = random.Random(cfg.seed)
     graphs: list[Graph] = []
@@ -183,20 +184,15 @@ def _graph_instances(
     elif cfg.random_count is not None:
         for _ in range(cfg.random_count):
             n = rng.randint(2, max(cfg.random_nmax, 2))
-            edges = [
-                (i, j)
-                for i in range(1, n + 1)
-                for j in range(i + 1, n + 1)
-                if rng.random() < 0.5
-            ]
+            edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                     if rng.random() < 0.5]
             graphs.append(Graph.from_edges(n, edges))
     else:
-        nmax = cfg.nmax if cfg.nmax is not None else 4
-        for n in range(1, nmax + 1):
+        for n in range(1, (cfg.nmax or 4) + 1):
             graphs.extend(enumerate_labeled_graphs(n))
     instances, forms = [], []
     for g in graphs:
-        c = (1,) * g.n if force_ones else _draw_c(rng, g.n, cfg, strictly_positive)
+        c = _draw_c(rng, g.n, cfg)
         instances.append({"graph6": g.to_graph6(), "c": list(c)})
         forms.append(canonical_form(g, c))
     return instances, forms
@@ -229,9 +225,7 @@ def _ideal_instances(cfg: SuiteConfig) -> list[dict]:
                 cs.append([list(c), list(c_small)])
             else:
                 cs.append(list(c))
-        instances.append(
-            {"index": idx, "ideal": json.loads(ideal.to_json()), "cs": cs}
-        )
+        instances.append({"index": idx, "ideal": json.loads(ideal.to_json()), "cs": cs})
     return instances
 
 
@@ -380,15 +374,27 @@ def _check_rfirst(inst: _Instance, s: int) -> dict:
     return inst.record(ok, "labeling found" if ok else "no labeling exists", s)
 
 
-def _eval_boston(payload: dict, cfg: SuiteConfig) -> list[dict]:
-    ideal = MonomialIdeal.from_json(json.dumps(payload["ideal"]))
+def _open_lq_ideal(payload: dict, cfg: SuiteConfig):
+    """(key, ideal, ordering, skipped): the record key and ideal of an
+    ideal-corpus payload and a linear-quotients ordering of the ideal.  When
+    the search refuses or finds none, ``skipped`` is the one skip record that
+    stands for the whole instance; otherwise it is empty."""
+    ideal = MonomialIdeal(payload["ideal"]["n"], tuple(map(tuple, payload["ideal"]["gens"])))
     key = f"ideal{payload['index']:05d}"
     try:
         ordering = find_lq_ordering(ideal, cfg.max_generators)
     except SearchCapExceeded as exc:
-        return [_record(key, payload, "skip", str(exc))]
+        return key, ideal, None, [_record(key, payload, "skip", str(exc))]
     if ordering is None:
-        return [_record(key, payload, "skip", "ideal has no linear quotients (hypothesis unmet)")]
+        detail = "ideal has no linear quotients (hypothesis unmet)"
+        return key, ideal, None, [_record(key, payload, "skip", detail)]
+    return key, ideal, ordering, []
+
+
+def _eval_boston(payload: dict, cfg: SuiteConfig) -> list[dict]:
+    key, ideal, ordering, skipped = _open_lq_ideal(payload, cfg)
+    if skipped:
+        return skipped
     records = []
     for t, c in enumerate(payload["cs"]):
         induced = restrict_lq_ordering(ideal, ordering, tuple(c))
@@ -400,13 +406,9 @@ def _eval_boston(payload: dict, cfg: SuiteConfig) -> list[dict]:
 
 
 def _eval_istanbul(payload: dict, cfg: SuiteConfig) -> list[dict]:
-    ideal = MonomialIdeal.from_json(json.dumps(payload["ideal"]))
-    key = f"ideal{payload['index']:05d}"
-    try:
-        if find_lq_ordering(ideal, cfg.max_generators) is None:
-            return [_record(key, payload, "skip", "ideal has no linear quotients (hypothesis unmet)")]
-    except SearchCapExceeded as exc:
-        return [_record(key, payload, "skip", str(exc))]
+    key, ideal, _, skipped = _open_lq_ideal(payload, cfg)
+    if skipped:
+        return skipped
     records = []
     for t, (c, c_small) in enumerate(payload["cs"]):
         big = find_lq_ordering(ideal.restrict(tuple(c)), cfg.max_generators)
@@ -434,39 +436,49 @@ def _eval_remark45(payload: dict, cfg: SuiteConfig) -> list[dict]:
 
 
 _NO_POWER = "delta={delta}: no nonvanishing bounded power"
-_BELOW_DELTA = "delta={delta}: no s with 1 <= s <= delta-1"
 
+
+@dataclass(frozen=True)
+class _Suite:
+    """What a suite reads, and how it evaluates one instance.
+
+    ``corpus`` keys ``_CORPUS_READS``.  ``c_floor`` is the smallest entry
+    allowed in a c drawn from the c policy, or None for a suite that draws
+    none and so reads no c field.  ``reads`` names, space-separated, which of
+    char, max_generators and max_s the suite reads.  ``SuiteConfig`` refuses a
+    non-default value in every field a run does not read.
+    """
+
+    corpus: str
+    c_floor: int | None
+    reads: str
+    evaluate: Callable[[dict, SuiteConfig], list[dict]]
+
+
+_BELOW = dict(empty="delta={delta}: no s with 1 <= s <= delta-1", first=1, below_top=1)
 _SUITES = {
-    "boston": ("ideals", _eval_boston),
-    "istanbul": ("ideals", _eval_istanbul),
-    "edge-lq": ("graphs-positive", _GraphSuite(_check_edge_lq)),
-    "squarefree-lq": ("graphs-ones", _GraphSuite(_check_edge_lq)),
-    "essen": ("graphs", _GraphSuite(_check_essen, _NO_POWER)),
-    "linres-top": ("graphs", _GraphSuite(_check_linres_top, _NO_POWER)),
-    "rfirst": ("graphs", _GraphSuite(_check_rfirst, _BELOW_DELTA, 1, below_top=1)),
-    "regcol": ("graphs", _GraphSuite(_check_regcol, _BELOW_DELTA, 1, below_top=1)),
-    "deg2": ("graphs", _GraphSuite(_check_deg2, _BELOW_DELTA, 1, below_top=1)),
-    "banerjee-colon": ("graphs", _GraphSuite(_check_banerjee_colon, _BELOW_DELTA, 1, below_top=1)),
-    "colon-reg": ("graphs", _GraphSuite(_check_colon_reg, "delta={delta}: no s with 2 <= s <= delta", 2)),
-    "regmain": ("graphs", _GraphSuite(_check_regmain, "delta={delta}: empty s-range", 1)),
-    "remark45": ("fixed", _eval_remark45),
+    "boston": _Suite("ideals", None, "max_generators", _eval_boston),
+    "istanbul": _Suite("ideals", None, "max_generators", _eval_istanbul),
+    "edge-lq": _Suite("graphs", 1, "max_generators", _GraphSuite(_check_edge_lq)),
+    "squarefree-lq": _Suite("graphs", None, "max_generators", _GraphSuite(_check_edge_lq)),
+    "essen": _Suite("graphs", 0, "", _GraphSuite(_check_essen, _NO_POWER)),
+    "linres-top": _Suite("graphs", 0, "char", _GraphSuite(_check_linres_top, _NO_POWER)),
+    "rfirst": _Suite("graphs", 0, "max_generators max_s", _GraphSuite(_check_rfirst, **_BELOW)),
+    "regcol": _Suite("graphs", 0, "char max_s", _GraphSuite(_check_regcol, **_BELOW)),
+    "deg2": _Suite("graphs", 0, "max_s", _GraphSuite(_check_deg2, **_BELOW)),
+    "banerjee-colon": _Suite("graphs", 0, "max_s", _GraphSuite(_check_banerjee_colon, **_BELOW)),
+    "colon-reg": _Suite("graphs", 0, "char max_s", _GraphSuite(
+        _check_colon_reg, "delta={delta}: no s with 2 <= s <= delta", first=2)),
+    "regmain": _Suite("graphs", 0, "char max_s",
+                      _GraphSuite(_check_regmain, "delta={delta}: empty s-range", first=1)),
+    "remark45": _Suite("fixed", None, "", _eval_remark45),
 }
 SUITE_NAMES = tuple(_SUITES)
 
 
 def _evaluate_instance(args: tuple[str, dict, SuiteConfig]) -> list[dict]:
     suite, payload, cfg = args
-    return _SUITES[suite][1](payload, cfg)
-
-
-def default_jobs() -> int:
-    value = os.environ.get(JOBS_ENV_VAR)
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            pass
-    return 1
+    return _SUITES[suite].evaluate(payload, cfg)
 
 
 def _isomorphism_classes(forms: list[tuple | None]) -> list[list[int]]:
@@ -509,14 +521,13 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     comparisons.
     """
     start = time.perf_counter()
-    kind = _SUITES[cfg.suite][0]
-    if kind.startswith("graphs"):
-        instances, forms = _graph_instances(
-            cfg, strictly_positive=kind != "graphs", force_ones=kind == "graphs-ones")
+    corpus = _SUITES[cfg.suite].corpus
+    if corpus == "graphs":
+        instances, forms = _graph_instances(cfg)
         classes = _isomorphism_classes(forms)
         over_budget = forms.count(None)
     else:
-        instances = _ideal_instances(cfg) if kind == "ideals" else [{}]
+        instances = _ideal_instances(cfg) if corpus == "ideals" else [{}]
         classes = [[k] for k in range(len(instances))]
         over_budget = 0
     chunks = _evaluate(cfg, [instances[members[0]] for members in classes])
@@ -535,28 +546,13 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
             records.extend(_record(key, payload, r["outcome"], r["detail"], r["s"]) for r in chunk)
     records.sort(key=lambda r: (r["key"], -1 if r["s"] is None else r["s"]))
     counterexamples = [r for r in records if r["outcome"] == "fail"]
-    summary = {
-        "pass": sum(r["outcome"] == "pass" for r in records),
-        "fail": len(counterexamples),
-        "skip": sum(r["outcome"] == "skip" for r in records),
-        "total": len(records),
-    }
-    elapsed = time.perf_counter() - start
+    summary = {outcome: sum(r["outcome"] == outcome for r in records)
+               for outcome in ("pass", "fail", "skip")}
+    summary["total"] = len(records)
     config = asdict(cfg)
     # jobs affects only scheduling; keep it with the timing sidecar so that
     # reports are byte-identical regardless of parallelism
-    jobs = config.pop("jobs")
-    return VerificationReport(
-        config=config,
-        records=records,
-        counterexamples=counterexamples,
-        summary=summary,
-        timings={
-            "wall_seconds": round(elapsed, 6),
-            "jobs": jobs,
-            "instances": len(instances),
-            "classes": len(classes),
-            "reevaluated": len(failing),
-            "over_budget": over_budget,
-        },
-    )
+    timings = {"wall_seconds": round(time.perf_counter() - start, 6), "jobs": config.pop("jobs"),
+               "instances": len(instances), "classes": len(classes),
+               "reevaluated": len(failing), "over_budget": over_budget}
+    return VerificationReport(config, records, counterexamples, summary, timings)

@@ -70,6 +70,13 @@ class TestGraphCommands:
         code, out, _ = run(capsys, ["graph", "match", "--in", src])
         assert code == 0 and json.loads(out) == {"matching_number": 2}
 
+    def test_match_on_a_long_path(self, tmp_path, capsys):
+        # 1200 vertices: deeper than the interpreter's default recursion limit
+        edges = [[i, i + 1] for i in range(1, 1200)]
+        src = write(tmp_path, "p1200.json", json.dumps({"n": 1200, "edges": edges}))
+        code, out, _ = run(capsys, ["graph", "match", "--in", src])
+        assert code == 0 and json.loads(out) == {"matching_number": 600}
+
     def test_chordal_graph6_input(self, tmp_path, capsys):
         src = write(tmp_path, "g.g6", "D?{\n")
         code, out, _ = run(capsys, ["graph", "chordal", "--in", src])
@@ -146,7 +153,7 @@ class TestVerify:
 
     def test_identical_reports_across_runs(self, tmp_path, capsys):
         args = ["verify", "--suite", "deg2", "--nmax", "3", "--c-policy", "constant",
-                "--c-value", "2", "--seed", "4"]
+                "--c-value", "2"]
         code1, out1, _ = run(capsys, args)
         code2, out2, _ = run(capsys, args)
         assert code1 == code2 == 0
@@ -240,6 +247,16 @@ class TestErrorHandling:
         ["--suite", "boston", "--count", "3", "--c-policy", "constant", "--c-value", "3"],
         ["--suite", "essen", "--nmax", "3", "--max-s", "1"],
         ["--suite", "remark45", "--c-policy", "constant", "--c-value", "3"],
+        ["--suite", "squarefree-lq", "--nmax", "3", "--c-policy", "constant", "--c-value", "2"],
+        ["--suite", "boston", "--count", "3", "--char", "3"],
+        ["--suite", "remark45", "--max-gens", "3"],
+        ["--suite", "regmain", "--nmax", "3", "--random-nmax", "9"],
+        ["--suite", "regmain", "--nmax", "3", "--max-gens", "3"],
+        ["--suite", "regmain", "--nmax", "3", "--seed", "5"],
+        ["--suite", "regmain", "--nmax", "3", "--c-value", "5"],
+        ["--suite", "essen", "--nmax", "3", "--char", "5"],
+        ["--suite", "edge-lq", "--nmax", "3", "--c-policy", "constant", "--c-value", "2",
+         "--char", "3"],
     ])
     def test_ignored_flag_is_refused(self, tmp_path, capsys, monkeypatch, argv):
         # the run would ignore the flag while the report echoed it

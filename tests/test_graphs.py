@@ -1,6 +1,7 @@
 """Graph machinery: chordality vs brute force, graph6 codec, enumeration."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -136,6 +137,10 @@ class TestMatching:
             for _ in range(60):
                 g = random_graph(rng, n)
                 assert g.matching_number() == brute_force_matching(g), g.to_graph6()
+
+    def test_deeper_than_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 50
+        assert path_graph(n).matching_number() == n // 2
 
 
 class TestGraph6:

@@ -1,6 +1,6 @@
 """Source hygiene: no module keeps a top-level import it never uses, no
-private top-level name outlives its last use, and no public name is kept
-for its own tests alone."""
+private top-level name outlives its last use, no public name is kept for its
+own tests alone, and no function calls itself."""
 
 import ast
 from collections import Counter
@@ -148,3 +148,41 @@ def test_no_public_name_read_only_by_tests():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     readers = {p.name: p.read_text(encoding="utf-8") for p in sorted(DEMOS.glob("*.py"))}
     assert unread_public_names(sources, readers) == list(UNREAD_PUBLIC_ALLOWLIST)
+
+
+def self_calling_functions(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each function, nested ones included, that calls
+    itself by name: bare (``f()``) or as a method (``self.f()``).  Such a
+    recursion is bounded by the interpreter's recursion limit, which an
+    input as plain as a long path exceeds."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            called = {
+                call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                for call in ast.walk(node) if isinstance(call, ast.Call)
+                and (isinstance(call.func, ast.Name) or isinstance(call.func, ast.Attribute)
+                     and isinstance(call.func.value, ast.Name) and call.func.value.id == "self")
+            }
+            if node.name in called:
+                found.append(f"{module}:{node.name}")
+    return found
+
+
+def test_detects_a_self_calling_function():
+    sources = {
+        "a.py": "def flat(n):\n    return [flat] if n else []\n"
+                "def outer(n):\n    def inner(k):\n        return inner(k - 1)\n"
+                "    return inner(n)\n"
+                "class C:\n    def walk(self, n):\n        return self.walk(n - 1)\n"
+                "    def other(self, x):\n        return x.other()\n",
+        "b.py": "def count(n):\n    return 0 if n == 0 else 1 + count(n - 1)\n",
+    }
+    assert self_calling_functions(sources) == ["a.py:inner", "a.py:walk", "b.py:count"]
+
+
+def test_no_function_calls_itself():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert self_calling_functions(sources) == []

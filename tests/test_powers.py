@@ -159,6 +159,11 @@ class TestBMatching:
             c = tuple(rng.randint(0, 3) for _ in range(g.n))
             assert delta(g.edge_ideal(), c) == delta_bmatching(g, c)
 
+    def test_more_edges_than_the_recursion_limit(self):
+        # K46 has 1035 edges, one search level each
+        assert delta_bmatching(complete_graph(46), (1,) * 46) == 23
+        assert delta_bmatching(complete_graph(46), (2,) * 46) == 46
+
 
 class TestNesting:
     def test_next_power_sits_inside_product(self):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,8 +10,69 @@ import boundedpowers.suites as suites
 from boundedpowers import Graph, SuiteConfig, canon, cycle_graph, path_graph, run_suite
 from boundedpowers.suites import SUITE_NAMES
 
-GRAPH_SUITES = [name for name, (kind, _) in suites._SUITES.items() if kind.startswith("graphs")]
+GRAPH_SUITES = [name for name, suite in suites._SUITES.items() if suite.corpus == "graphs"]
 C2 = dict(c_policy="constant", c_value=2)
+
+# What each run reads, written out from each suite's statement rather than
+# derived from suites._SUITES.  Every run reads suite and jobs.
+SEARCHING = {"edge-lq", "squarefree-lq", "rfirst"}  # max_generators
+HOMOLOGY = {"linres-top", "regcol", "colon-reg", "regmain"}  # char
+S_RANGE = {"rfirst", "regcol", "deg2", "banerjee-colon", "colon-reg", "regmain"}  # max_s
+IDEAL_READS = {"random_count", "random_nmax", "seed", "ideal_max_generators",
+               "ideal_max_exponent", "samples_per_instance", "max_generators"}
+POLICY_READS = {"ones": set(), "constant": {"c_value"}, "random": {"c_value", "seed"},
+                "explicit": {"c_explicit"}}
+CORPUS_SOURCES = {"nmax", "graph6_path", "random_count"}
+
+
+def spec_reads(suite, options):
+    """The fields a run of ``suite`` with ``options`` reads."""
+    read = {"suite", "jobs"}
+    if suite in ("boston", "istanbul"):
+        return read | IDEAL_READS
+    if suite == "remark45":
+        return read
+    # a graph suite reads one corpus source, and random_nmax and seed only
+    # with random_count
+    sources = CORPUS_SOURCES & set(options)
+    read |= sources if len(sources) == 1 else set()
+    if "random_count" in sources:
+        read |= {"random_nmax", "seed"}
+    if suite != "squarefree-lq":
+        read |= {"c_policy"} | POLICY_READS[options.get("c_policy", "ones")]
+    for name, readers in (("max_generators", SEARCHING), ("char", HOMOLOGY), ("max_s", S_RANGE)):
+        if suite in readers:
+            read.add(name)
+    return read
+
+
+# one value other than the default for every SuiteConfig field but suite
+OTHER_VALUE = {
+    "nmax": 3, "graph6_path": "g.g6", "random_count": 2, "random_nmax": 4, "seed": 5,
+    "c_policy": "constant", "c_value": 2, "c_explicit": (1, 2), "char": 3,
+    "max_generators": 10, "max_s": 2, "jobs": 2, "ideal_max_generators": 4,
+    "ideal_max_exponent": 3, "samples_per_instance": 2,
+}
+
+
+def refusal(**options):
+    """The message SuiteConfig refuses ``options`` with, or None."""
+    try:
+        SuiteConfig(**options)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def read_options(suite, **options):
+    """``options`` without the fields ``suite`` does not read: the search cap
+    for a suite that does not search, and the c fields for squarefree-lq."""
+    if suite not in SEARCHING:
+        options.pop("max_generators", None)
+    if suite == "squarefree-lq":
+        for name in ("c_policy", "c_value", "c_explicit"):
+            options.pop(name, None)
+    return dict(suite=suite, **options)
 
 
 class TestConfig:
@@ -63,7 +125,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("policy", ["ones", "constant", "random"])
     def test_explicit_vector_needs_explicit_policy(self, policy):
-        with pytest.raises(ValueError, match="needs c policy 'explicit'"):
+        with pytest.raises(ValueError, match="suite 'essen' does not read c_explicit"):
             SuiteConfig(suite="essen", nmax=2, c_policy=policy, c_explicit=(5, 5))
 
     @pytest.mark.parametrize("suite, corpus", [
@@ -74,7 +136,7 @@ class TestConfig:
         ("remark45", dict(random_count=2)),
     ])
     def test_corpus_field_the_suite_does_not_read(self, suite, corpus):
-        with pytest.raises(ValueError, match=f"suite '{suite}' takes no"):
+        with pytest.raises(ValueError, match=f"suite '{suite}' does not read {[*corpus][0]} "):
             SuiteConfig(suite=suite, **corpus)
 
     @pytest.mark.parametrize("suite, corpus", [
@@ -87,7 +149,7 @@ class TestConfig:
         ("remark45", dict()),
     ])
     def test_max_s_on_a_suite_without_s_range(self, suite, corpus):
-        with pytest.raises(ValueError, match=f"suite '{suite}' has no s-range"):
+        with pytest.raises(ValueError, match=f"suite '{suite}' does not read max_s "):
             SuiteConfig(suite=suite, max_s=1, **corpus)
 
     @pytest.mark.parametrize("suite, corpus", [
@@ -100,8 +162,44 @@ class TestConfig:
         dict(c_policy="explicit", c_explicit=(1, 2)),
     ], ids=["constant", "random", "value", "explicit"])
     def test_c_field_the_suite_does_not_read(self, suite, corpus, c_fields):
-        with pytest.raises(ValueError, match=f"suite '{suite}' draws no c"):
+        # the message names the first field in declaration order
+        with pytest.raises(ValueError, match=f"suite '{suite}' does not read {[*c_fields][0]} "):
             SuiteConfig(suite=suite, **corpus, **c_fields)
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_each_field_is_accepted_exactly_when_read(self, suite):
+        # a field that OTHER_VALUE does not list fails here until it is added
+        # to OTHER_VALUE and to spec_reads
+        assert {f.name: f.default != OTHER_VALUE.get(f.name) for f in fields(SuiteConfig)
+                if f.name != "suite"} == dict.fromkeys(OTHER_VALUE, True)
+        wrong = []
+        for corpus in ({}, dict(nmax=3), dict(graph6_path="g.g6"), dict(random_count=2)):
+            for policy in ({}, dict(c_policy="constant"), dict(c_policy="random"),
+                           dict(c_policy="explicit", c_explicit=(1, 2))):
+                base = {**corpus, **policy}
+                for name in [None, *OTHER_VALUE]:
+                    if name in base:
+                        continue
+                    options = base if name is None else {**base, name: OTHER_VALUE[name]}
+                    unread = set(options) - spec_reads(suite, options)
+                    message = refusal(suite=suite, **options)
+                    # refused exactly when a field is unread, by a message
+                    # that names one of the unread fields
+                    named = message is not None and any(name in message for name in unread)
+                    if (message is not None) != bool(unread) or unread and not named:
+                        wrong.append((options, unread, message))
+        assert wrong == []
+
+    @pytest.mark.parametrize("suite, c_fields, floor", [
+        ("edge-lq", dict(c_policy="constant", c_value=0), 1),
+        ("edge-lq", dict(c_policy="explicit", c_explicit=(1, 0)), 1),
+        ("essen", dict(c_policy="constant", c_value=-1), 0),
+        ("essen", dict(c_policy="explicit", c_explicit=(-1, 2)), 0),
+    ], ids=["edge-lq-constant", "edge-lq-explicit", "essen-constant", "essen-explicit"])
+    def test_c_below_the_suite_floor(self, suite, c_fields, floor):
+        # refused before any graph is read; the file does not exist
+        with pytest.raises(ValueError, match=f"suite '{suite}' needs every entry of c >= {floor}"):
+            SuiteConfig(suite=suite, graph6_path="missing.g6", **c_fields)
 
     def test_corpus_fields_each_suite_reads(self):
         SuiteConfig(suite="boston", random_count=2)
@@ -154,7 +252,7 @@ class TestReports:
         assert report.summary["fail"] == 0
 
     def test_deterministic_across_jobs(self):
-        base = dict(suite="deg2", nmax=3, c_policy="constant", c_value=2, seed=5)
+        base = dict(suite="deg2", nmax=3, c_policy="constant", c_value=2)
         serial = run_suite(SuiteConfig(jobs=1, **base))
         parallel = run_suite(SuiteConfig(jobs=3, **base))
         assert serial.to_json(with_timings=False) == parallel.to_json(with_timings=False)
@@ -164,14 +262,6 @@ class TestReports:
         first = run_suite(SuiteConfig(**base))
         second = run_suite(SuiteConfig(**base))
         assert first.to_json(with_timings=False) == second.to_json(with_timings=False)
-
-    def test_jobs_env_var_default(self, monkeypatch):
-        monkeypatch.setenv(suites.JOBS_ENV_VAR, "3")
-        assert suites.default_jobs() == 3
-        monkeypatch.setenv(suites.JOBS_ENV_VAR, "junk")
-        assert suites.default_jobs() == 1
-        monkeypatch.delenv(suites.JOBS_ENV_VAR)
-        assert suites.default_jobs() == 1
 
     def test_timings_live_in_sidecar(self):
         report = run_suite(SuiteConfig(suite="remark45"))
@@ -226,6 +316,14 @@ class TestCorpora:
             run_suite(SuiteConfig(suite="essen", nmax=3,
                                   c_policy="explicit", c_explicit=(2, 2, 2)))
 
+    def test_random_c_starts_at_the_suite_floor(self):
+        # edge-lq needs c > 0, so its random draws start at 1; essen's at 0
+        for suite, low in (("edge-lq", 1), ("essen", 0)):
+            report = run_suite(SuiteConfig(suite=suite, random_count=30, c_policy="random",
+                                           c_value=2, seed=4))
+            entries = {x for r in report.records for x in r["instance"]["c"]}
+            assert entries == set(range(low, 3))
+
     def test_positive_suite_rejects_zero_constant(self):
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(suite="edge-lq", nmax=2, c_policy="constant", c_value=0))
@@ -238,10 +336,7 @@ class TestTheoremSuitesSmall:
          "regcol", "deg2", "banerjee-colon", "colon-reg", "regmain"],
     )
     def test_no_counterexamples_small_corpus(self, suite):
-        report = run_suite(
-            SuiteConfig(suite=suite, nmax=3, c_policy="constant", c_value=2,
-                        max_generators=10)
-        )
+        report = run_suite(SuiteConfig(**read_options(suite, nmax=3, max_generators=10, **C2)))
         assert report.failed == 0, report.counterexamples[:1]
 
     def test_boston_istanbul_small(self):
@@ -266,7 +361,7 @@ class TestSRange:
         # at most one chain per instance, and in fact exactly one per
         # isomorphism class: 11 labeled graphs on up to 3 vertices, 1 + 2 + 4
         # classes
-        report = run_suite(SuiteConfig(suite=suite, nmax=3, max_generators=10, **C2))
+        report = run_suite(SuiteConfig(**read_options(suite, nmax=3, max_generators=10, **C2)))
         assert len({r["key"] for r in report.records}) == 11
         assert len(level_builds) == report.timings["classes"] == 7
 
@@ -303,9 +398,7 @@ def record_order(r):
 
 def reference_records(cfg):
     """Every instance of the corpus evaluated on its own, records flattened."""
-    kind = suites._SUITES[cfg.suite][0]
-    instances, _ = suites._graph_instances(
-        cfg, strictly_positive=kind != "graphs", force_ones=kind == "graphs-ones")
+    instances, _ = suites._graph_instances(cfg)
     records = [r for payload in instances
                for r in suites._evaluate_instance((cfg.suite, payload, cfg))]
     return sorted(records, key=record_order)
@@ -343,14 +436,14 @@ class TestIsomorphismMemo:
         options = dict(CORPORA[corpus])
         if corpus == "relabeled-g6":
             options["graph6_path"] = relabeled_corpus(tmp_path)
-        cfg = SuiteConfig(suite=suite, max_generators=10, **options)
+        cfg = SuiteConfig(**read_options(suite, max_generators=10, **options))
         report = run_suite(cfg)
         assert report.records == reference_records(cfg)
         assert report.timings["classes"] < report.timings["instances"]
 
     @pytest.mark.parametrize("suite", GRAPH_SUITES)
     def test_jobs_2_matches_jobs_1(self, suite):
-        base = dict(suite=suite, nmax=4, max_generators=10, **C2)
+        base = read_options(suite, nmax=4, max_generators=10, **C2)
         serial = run_suite(SuiteConfig(jobs=1, **base))
         parallel = run_suite(SuiteConfig(jobs=2, **base))
         assert serial.to_json(with_timings=False) == parallel.to_json(with_timings=False)
@@ -382,7 +475,8 @@ class TestIsomorphismMemo:
             edges = inst.graph.sorted_edges()
             return inst.record(not edges, f"first edge {edges[0]}" if edges else "edgeless")
 
-        monkeypatch.setitem(suites._SUITES, "deg2", ("graphs", suites._GraphSuite(check)))
+        monkeypatch.setitem(suites._SUITES, "deg2",
+                            replace(suites._SUITES["deg2"], evaluate=suites._GraphSuite(check)))
         cfg = SuiteConfig(suite="deg2", nmax=4, **C2)
         report = run_suite(cfg)
         assert report.records == reference_records(cfg)
