@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 
 from .connections import colon_quadrics
-from .graphs import Graph, Graph6Error, parse_graph6
+from .graphs import Graph, parse_graph6
 from .homology import betti_table, regularity
 from .linquot import DEFAULT_GENERATOR_CAP, SearchCapExceeded, find_lq_ordering, is_lq_ordering
 from .monomials import MonomialIdeal
@@ -241,8 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.command} {args.op} requires --{flag}")
     try:
         return args.func(args)
-    except (ValueError, Graph6Error, OSError, json.JSONDecodeError, KeyError,
-            SearchCapExceeded) as exc:
+    except (ValueError, OSError, KeyError, SearchCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,14 @@ r >= 1, all of whose steps are edges of the graph, whose r interior odd pairs
 {p_{2k+1}, p_{2k+2}} are edges from the multiset, each distinct edge used at
 most its multiplicity.  These pairs, together with actual edges, generate the
 colon of the next bounded power by a generator of the current one.
+
+The search allows each distinct edge at most two uses, whatever its
+multiplicity, and this is exact.  Suppose a walk takes one multiset edge twice
+in the same direction, at pairs k1 < k2.  Cutting the 2(k2 - k1) steps between
+the two takes leaves a valid walk: it is strictly shorter, has the same ends,
+keeps every parity and takes fewer copies.  So every shortest witness takes
+each edge at most once per direction, and the search space does not grow with
+the number of edges in the multiset.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Edge, Graph, normalize_edge
-from .linquot import SearchCapExceeded, _lq_pair_data, search_ordering
+from .linquot import DEFAULT_GENERATOR_CAP, SearchCapExceeded, _lq_pair_data, search_ordering
 from .monomials import (
     BoundVector,
     Monomial,
@@ -68,100 +76,81 @@ def is_valid_even_connection(
     return all(used[e] <= supply[e] for e in used)
 
 
-def _bfs_even_connections(
-    graph: Graph, edges: Sequence[Edge], a: int, target: int | None
-):
-    """BFS over (vertex, remaining multiplicities, parity) states.
-
-    With ``target`` set, stops at the first accepting state for that vertex and
-    returns a witness; with ``target`` None, returns the set of all vertices b
-    even-connected to a.  Acceptance: odd walk position, at least one multiset
-    edge consumed.
-    """
-    multiset = [normalize_edge(*e) for e in edges]
-    for e in multiset:
+def _edge_copies(graph: Graph, edges: Sequence[Edge]) -> dict[Edge, list[int]]:
+    """Each distinct edge of the multiset, in sorted order, with the indices of
+    its copies; raises ValueError on a pair that is not a graph edge."""
+    copies: dict[Edge, list[int]] = {}
+    for idx, e in enumerate(edges):
+        e = normalize_edge(*e)
         if e not in graph.edges:
             raise ValueError(f"edge {e} is not an edge of the graph")
-    distinct = sorted(set(multiset))
-    copies: dict[Edge, list[int]] = {e: [] for e in distinct}
-    for idx, e in enumerate(multiset):
-        copies[e].append(idx)
-    full = tuple(len(copies[e]) for e in distinct)
+        copies.setdefault(e, []).append(idx)
+    return {e: copies[e] for e in sorted(copies)}
 
-    start = (a, full, 0)  # parity 0: about to take a free step
+
+def _even_walks(graph: Graph, copies: dict[Edge, list[int]], a: int) -> dict[tuple, tuple | None]:
+    """BFS from a over (vertex, uses left, parity) states; each distinct edge
+    starts with min(multiplicity, 2) uses.  Returns the parent map, whose keys
+    are in discovery order.  A state is accepting when its parity is 1 (odd
+    walk position) and it has taken at least one multiset edge."""
+    distinct = tuple(copies)
+    start = (a, tuple(min(len(idx), 2) for idx in copies.values()), 0)
     parents: dict[tuple, tuple | None] = {start: None}
     queue = deque([start])
-    reachable: set[int] = set()
-
-    def witness(state: tuple) -> EvenConnection:
-        path: list[int] = []
-        steps: list[int | None] = []
-        cur: tuple | None = state
-        while cur is not None:
-            path.append(cur[0])
-            prev_info = parents[cur]
-            if prev_info is None:
-                break
-            prev, used_edge = prev_info
-            steps.append(used_edge)
-            cur = prev
-        path.reverse()
-        steps.reverse()
-        remaining = {e: list(copies[e]) for e in distinct}
-        assignment = []
-        for used_edge in steps:
-            if used_edge is not None:
-                assignment.append(remaining[used_edge].pop(0))
-        return EvenConnection(tuple(path), tuple(assignment))
-
     while queue:
         state = queue.popleft()
-        vertex, remaining, parity = state
-        if parity == 1:
-            if remaining != full:
-                if target is None:
-                    reachable.add(vertex)
-                elif vertex == target:
-                    return witness(state)
-            # odd position: next step consumes a multiset edge
-            for t, e in enumerate(distinct):
-                if remaining[t] == 0 or vertex not in e:
-                    continue
-                other = e[1] if e[0] == vertex else e[0]
-                nxt_rem = remaining[:t] + (remaining[t] - 1,) + remaining[t + 1 :]
-                nxt = (other, nxt_rem, 0)
-                if nxt not in parents:
-                    parents[nxt] = (state, e)
-                    queue.append(nxt)
+        vertex, left, parity = state
+        if parity:
+            # odd position: the next step takes a multiset edge
+            steps = [
+                (e[1] if e[0] == vertex else e[0], left[:t] + (left[t] - 1,) + left[t + 1:], 0)
+                for t, e in enumerate(distinct) if left[t] and vertex in e
+            ]
         else:
-            # even position: next step is any edge of the graph
-            for u in graph.adjacency[vertex]:
-                nxt = (u, remaining, 1)
-                if nxt not in parents:
-                    parents[nxt] = (state, None)
-                    queue.append(nxt)
-    return None if target is not None else reachable
+            # even position: the next step is any edge of the graph
+            steps = [(u, left, 1) for u in graph.adjacency[vertex]]
+        for nxt in steps:
+            if nxt not in parents:
+                parents[nxt] = state
+                queue.append(nxt)
+    return parents
+
+
+def _check_vertex(graph: Graph, v: int) -> None:
+    if not 1 <= v <= graph.n:
+        raise ValueError(f"unknown vertex label {v}")
 
 
 def find_even_connection(
     graph: Graph, edges: Sequence[Edge], a: int, b: int
 ) -> EvenConnection | None:
     """A shortest even-connection witness between a and b, or None."""
-    for v in (a, b):
-        if not 1 <= v <= graph.n:
-            raise ValueError(f"unknown vertex label {v}")
-    if not edges:
-        return None  # r >= 1 requires at least one interior pair
-    return _bfs_even_connections(graph, edges, a, b)
+    _check_vertex(graph, a)
+    _check_vertex(graph, b)
+    copies = _edge_copies(graph, edges)
+    parents = _even_walks(graph, copies, a)
+    full = next(iter(parents))[1]
+    state = next((st for st in parents if st[0] == b and st[2] and st[1] != full), None)
+    if state is None:
+        return None
+    path: list[int] = []
+    while state is not None:
+        path.append(state[0])
+        state = parents[state]
+    path.reverse()
+    unused = {e: iter(idx) for e, idx in copies.items()}
+    assignment = tuple(
+        next(unused[normalize_edge(path[k], path[k + 1])]) for k in range(1, len(path) - 1, 2)
+    )
+    return EvenConnection(tuple(path), assignment)
 
 
 def even_connected_targets(graph: Graph, edges: Sequence[Edge], a: int) -> set[int]:
     """All vertices even-connected to a with respect to the edge multiset."""
-    if not edges:
-        return set()
-    result = _bfs_even_connections(graph, edges, a, None)
-    assert isinstance(result, set)
-    return result
+    _check_vertex(graph, a)
+    parents = _even_walks(graph, _edge_copies(graph, edges), a)
+    full = next(iter(parents))[1]
+    return {v for v, left, parity in parents if parity and left != full}
 
 
 def edge_factorization(graph: Graph, s: int, u: Monomial) -> tuple[Edge, ...] | None:
@@ -230,21 +219,23 @@ def colon_quadrics(
             raise ValueError("supplied factorization is not s graph edges multiplying to u")
     if factorization is None or not is_bounded(u, c):
         raise ValueError("u is not a minimal generator of the s-th bounded power")
-    connected = {
-        a: even_connected_targets(graph, factorization, a) for a in graph.vertices()
-    }
     quadrics = []
     for i in range(1, graph.n + 1):
+        targets = None  # searched only once some pair (i, j) needs it
         for j in range(i, graph.n + 1):
             if u[i - 1] + (2 if i == j else 1) > c[i - 1]:
                 continue
             if i != j and u[j - 1] + 1 > c[j - 1]:
                 continue
-            if (i != j and graph.has_edge(i, j)) or j in connected[i]:
-                q = [0] * graph.n
-                q[i - 1] += 1
-                q[j - 1] += 1
-                quadrics.append(tuple(q))
+            if i == j or not graph.has_edge(i, j):
+                if targets is None:
+                    targets = even_connected_targets(graph, factorization, i)
+                if j not in targets:
+                    continue
+            q = [0] * graph.n
+            q[i - 1] += 1
+            q[j - 1] += 1
+            quadrics.append(tuple(q))
     return minimalize(graph.n, quadrics)
 
 
@@ -260,7 +251,7 @@ def colon_generated_in_degree_two(power: MonomialIdeal, nxt: MonomialIdeal) -> b
 
 
 def has_colon_splitting_order(
-    power: MonomialIdeal, nxt: MonomialIdeal, max_generators: int = 10
+    power: MonomialIdeal, nxt: MonomialIdeal, max_generators: int = DEFAULT_GENERATOR_CAP
 ) -> bool:
     """Whether the generators of ``power`` admit a labeling u_1..u_m so that
     for every j < i, either u_j : u_i lies in ``nxt : u_i``, or some earlier

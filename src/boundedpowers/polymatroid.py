@@ -26,13 +26,17 @@ def exchange_witness(
         raise ValueError(f"exchange requires deg_x{i}(u) > deg_x{i}(v)")
     genset = set(gens)
     for j in range(1, ideal.n + 1):
-        if u[j - 1] < v[j - 1]:
-            swapped = list(u)
-            swapped[i - 1] -= 1
-            swapped[j - 1] += 1
-            if tuple(swapped) in genset:
-                return j
+        if u[j - 1] < v[j - 1] and _exchanged(u, i - 1, j - 1) in genset:
+            return j
     return None
+
+
+def _exchanged(u: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    """x_j * u / x_i, with 0-based i and j."""
+    w = list(u)
+    w[i] -= 1
+    w[j] += 1
+    return tuple(w)
 
 
 def is_polymatroidal(ideal: MonomialIdeal) -> bool:
@@ -43,16 +47,16 @@ def is_polymatroidal(ideal: MonomialIdeal) -> bool:
     """
     if not is_equigenerated(ideal):
         return False
-    m = len(ideal.gens)
-    for u_idx in range(m):
-        for v_idx in range(m):
-            if u_idx == v_idx:
-                continue
-            u, v = ideal.gens[u_idx], ideal.gens[v_idx]
-            for i in range(1, ideal.n + 1):
-                if u[i - 1] > v[i - 1]:
-                    if exchange_witness(ideal, u_idx, v_idx, i) is None:
-                        return False
+    genset = set(ideal.gens)
+    n = ideal.n
+    for u in ideal.gens:
+        # bit j of exchanges[i]: x_j * u / x_i is a generator
+        exchanges = [sum(1 << j for j in range(n) if _exchanged(u, i, j) in genset)
+                     for i in range(n)]
+        for v in ideal.gens:
+            below = sum(1 << j for j in range(n) if u[j] < v[j])
+            if any(u[i] > v[i] and not exchanges[i] & below for i in range(n)):
+                return False
     return True
 
 

@@ -2,11 +2,13 @@
 
 import random
 import sys
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
 from boundedpowers import (
+    EvenConnection,
     Graph,
     SearchCapExceeded,
     bounded_power,
@@ -24,6 +26,8 @@ from boundedpowers import (
     is_valid_even_connection,
     path_graph,
 )
+from boundedpowers.connections import _edge_copies, _even_walks
+from boundedpowers.graphs import normalize_edge
 
 
 def random_graph(rng, n):
@@ -74,6 +78,10 @@ class TestFindEvenConnection:
             find_even_connection(path_graph(3), [(1, 2)], 1, 9)
         with pytest.raises(ValueError):
             find_even_connection(path_graph(3), [(1, 3)], 1, 2)
+        with pytest.raises(ValueError):
+            even_connected_targets(path_graph(3), [(1, 2)], 9)
+        with pytest.raises(ValueError):
+            even_connected_targets(path_graph(3), [], 0)
 
     def test_symmetry_and_witness_validity(self):
         rng = random.Random(53)
@@ -104,6 +112,63 @@ class TestFindEvenConnection:
                     assert (b in targets) == (
                         find_even_connection(g, edges, a, b) is not None
                     )
+
+
+def enumerate_walks(g, edges, a):
+    """Every walk from a that steps along a graph edge from each even position
+    and along an unused copy of the multiset from each odd one, with every edge
+    at its full multiplicity.  Each take uses up a copy, so a walk has at most
+    2 * len(edges) + 1 steps and the enumeration is finite."""
+    stack = [((a,), Counter(normalize_edge(*e) for e in edges))]
+    while stack:
+        path, left = stack.pop()
+        yield path
+        v = path[-1]
+        if len(path) % 2:
+            stack += [(path + (w,), left) for w in g.adjacency[v]]
+        else:
+            stack += [(path + (e[0] + e[1] - v,), left - Counter([e]))
+                      for e in left if v in e]
+
+
+class TestTwoUseCap:
+    def test_agrees_with_walk_enumeration(self):
+        rng = random.Random(97)
+        heavy = 0
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(2, 5))
+            if not g.edges:
+                continue
+            # a pool of at most three distinct edges, so multiplicities of 3+ occur
+            pool = rng.sample(g.sorted_edges(), min(len(g.edges), rng.randint(1, 3)))
+            edges = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            heavy += max(Counter(edges).values()) >= 3
+            for a in g.vertices():
+                shortest = {}
+                for path in enumerate_walks(g, edges, a):
+                    if len(path) >= 4 and len(path) % 2 == 0:
+                        shortest[path[-1]] = min(shortest.get(path[-1], len(path)), len(path))
+                assert even_connected_targets(g, edges, a) == set(shortest)
+                for b in g.vertices():
+                    conn = find_even_connection(g, edges, a, b)
+                    assert (conn is None) == (b not in shortest)
+                    if conn is not None:
+                        assert is_valid_even_connection(g, edges, a, b, conn)
+                        assert len(conn.path) == shortest[b]
+        assert heavy >= 30
+
+    def test_edge_taken_in_both_directions(self):
+        # the only walk from 1 back to 1 takes (2, 3) out and back, with the
+        # triangle 3, 4, 5 flipping the parity in between: one use is not enough
+        g = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+        conn = find_even_connection(g, [(2, 3)] * 3 + [(4, 5)], 1, 1)
+        assert conn == EvenConnection((1, 2, 3, 4, 5, 3, 2, 1), (0, 3, 1))
+        assert find_even_connection(g, [(2, 3), (4, 5)], 1, 1) is None
+
+    def test_states_do_not_grow_with_multiplicity(self):
+        k2 = complete_graph(2)
+        two, many = (len(_even_walks(k2, _edge_copies(k2, [(1, 2)] * m), 1)) for m in (2, 1000))
+        assert two == many
 
 
 class TestEdgeFactorization:
@@ -168,6 +233,18 @@ class TestColonQuadrics:
             for u in chain[s - 1].gens:
                 assert colon_quadrics(g, s, c, u) == chain[s].colon(u)
             checked += 1
+        # bounds up to 4, where the factorization of u can repeat an edge 3+ times
+        heavy = 0
+        while heavy < 40:
+            g = random_graph(rng, rng.randint(2, 5))
+            c = tuple(rng.randint(1, 4) for _ in range(g.n))
+            chain = bounded_power_chain(g.edge_ideal(), c)
+            if len(chain) < 2:
+                continue
+            s = rng.randint(1, len(chain) - 1)
+            for u in chain[s - 1].gens:
+                assert colon_quadrics(g, s, c, u) == chain[s].colon(u)
+                heavy += max(Counter(edge_factorization(g, s, u)).values()) >= 3
 
     def test_factorization_independence(self):
         g = cycle_graph(4)

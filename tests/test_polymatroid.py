@@ -1,7 +1,7 @@
 """Exchange-condition checks and the top bounded power of edge ideals."""
 
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -75,6 +75,26 @@ class TestIsPolymatroidal:
 
     def test_not_equigenerated_fails(self):
         assert not is_polymatroidal(minimalize(2, [(1, 0), (0, 2)]))
+
+    def test_agrees_with_exchange_witness(self):
+        # random equigenerated ideals: the exchange condition read off
+        # exchange_witness over every (u, v, i)
+        rng = random.Random(89)
+        outcomes = set()
+        for _ in range(300):
+            n, d = rng.randint(2, 4), rng.randint(1, 3)
+            pool = list(combinations_with_replacement(range(n), d))
+            picked = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+            ideal = minimalize(n, [tuple(g.count(k) for k in range(n)) for g in picked])
+            gens = ideal.gens
+            expected = all(
+                exchange_witness(ideal, a, b, i) is not None
+                for a in range(len(gens)) for b in range(len(gens))
+                for i in range(1, n + 1) if gens[a][i - 1] > gens[b][i - 1]
+            )
+            assert is_polymatroidal(ideal) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestIsMatroidal:
