@@ -33,7 +33,7 @@ print("\nedge ideal of the path 1-2-3-4:", P4.edge_ideal())
 # exactly beyond the matching number.
 for s in (1, 2, 3):
     print(f"squarefree power s={s}:", squarefree_power(P4.edge_ideal(), s))
-print("matching number of P4:", P4.matching_number())
+print("matching number of P4 (a b-matching at c = ones):", delta_bmatching(P4, (1,) * P4.n))
 
 # delta(I, c) is the largest s with a nonzero bounded power.  For edge
 # ideals it has a purely combinatorial twin: a maximum b-matching, where

@@ -12,6 +12,7 @@ from boundedpowers import (
     colon_quadrics,
     complete_graph,
     edge_factorization,
+    even_connected_targets,
     find_even_connection,
     path_graph,
 )
@@ -32,6 +33,7 @@ print("\nfactorization of u:", edge_factorization(P4, 1, u))
 conn = find_even_connection(P4, [(2, 3)], 1, 4)
 print("even-connection between 1 and 4:", conn.path,
       "(interior pair -> edge copy", conn.assignment, ")")
+print("every vertex even-connected to 1:", sorted(even_connected_targets(P4, [(2, 3)], 1)))
 
 # Self-connections produce squares: in the triangle, the walk 1,2,3,1 shows
 # x1^2 lands in the colon once the bound has room for it.

@@ -20,7 +20,7 @@ from .homology import betti_table, regularity
 from .linquot import DEFAULT_GENERATOR_CAP, SearchCapExceeded, find_lq_ordering, is_lq_ordering
 from .monomials import MonomialIdeal
 from .polymatroid import is_equigenerated, is_matroidal, is_polymatroidal
-from .powers import delta
+from .powers import delta, delta_bmatching
 from .suites import C_POLICIES, SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -81,7 +81,7 @@ def _cmd_graph(args) -> int:
     elif args.op == "chordal":
         result = json.dumps({"chordal": graph.is_chordal()})
     else:  # match
-        result = json.dumps({"matching_number": graph.matching_number()})
+        result = json.dumps({"matching_number": delta_bmatching(graph, (1,) * graph.n)})
     _write_output(args, result)
     return 0
 

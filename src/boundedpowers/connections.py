@@ -116,6 +116,12 @@ def _even_walks(graph: Graph, copies: dict[Edge, list[int]], a: int) -> dict[tup
     return parents
 
 
+def _targets(parents: dict[tuple, tuple | None]) -> set[int]:
+    """The vertices of the accepting states of an ``_even_walks`` parent map."""
+    full = next(iter(parents))[1]
+    return {v for v, left, parity in parents if parity and left != full}
+
+
 def _check_vertex(graph: Graph, v: int) -> None:
     if not 1 <= v <= graph.n:
         raise ValueError(f"unknown vertex label {v}")
@@ -148,9 +154,7 @@ def find_even_connection(
 def even_connected_targets(graph: Graph, edges: Sequence[Edge], a: int) -> set[int]:
     """All vertices even-connected to a with respect to the edge multiset."""
     _check_vertex(graph, a)
-    parents = _even_walks(graph, _edge_copies(graph, edges), a)
-    full = next(iter(parents))[1]
-    return {v for v, left, parity in parents if parity and left != full}
+    return _targets(_even_walks(graph, _edge_copies(graph, edges), a))
 
 
 def edge_factorization(graph: Graph, s: int, u: Monomial) -> tuple[Edge, ...] | None:
@@ -219,6 +223,7 @@ def colon_quadrics(
             raise ValueError("supplied factorization is not s graph edges multiplying to u")
     if factorization is None or not is_bounded(u, c):
         raise ValueError("u is not a minimal generator of the s-th bounded power")
+    copies = _edge_copies(graph, factorization)
     quadrics = []
     for i in range(1, graph.n + 1):
         targets = None  # searched only once some pair (i, j) needs it
@@ -229,7 +234,7 @@ def colon_quadrics(
                 continue
             if i == j or not graph.has_edge(i, j):
                 if targets is None:
-                    targets = even_connected_targets(graph, factorization, i)
+                    targets = _targets(_even_walks(graph, copies, i))
                 if j not in targets:
                     continue
             q = [0] * graph.n

@@ -112,35 +112,6 @@ class Graph:
                     return False
         return True
 
-    def matching_number(self) -> int:
-        """Maximum number of pairwise disjoint edges, by exact branching: the
-        lowest active vertex v with an active neighbour stays unmatched or is
-        matched to one of those neighbours.  Active vertex sets are memoized
-        int masks, and the search keeps its own stack, so n is not bounded by
-        the interpreter's recursion limit."""
-        adj = [0] + [sum(1 << w for w in self.adjacency[v]) for v in self.vertices()]
-        full = sum(1 << v for v in self.vertices())
-        best: dict[int, int] = {}
-        stack = [full]
-        while stack:
-            mask = rest = stack[-1]
-            while rest and not adj[(rest & -rest).bit_length() - 1] & mask:
-                rest &= rest - 1  # a vertex without an active neighbour stays unmatched
-            if not rest:
-                best[mask] = 0
-                stack.pop()
-                continue
-            v = (rest & -rest).bit_length() - 1
-            rest ^= 1 << v
-            children = [rest] + [rest & ~(1 << w) for w in self.adjacency[v] if mask >> w & 1]
-            pending = [child for child in children if child not in best]
-            if pending:
-                stack.extend(pending)
-                continue
-            best[mask] = max(best[rest], 1 + max(best[child] for child in children[1:]))
-            stack.pop()
-        return best[full]
-
     def to_graph6(self) -> str:
         data = _encode_n(self.n)
         bits = []

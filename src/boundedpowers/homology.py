@@ -22,10 +22,23 @@ fields, and ``max(a, b) = (a & mask) | (b & ~mask)``.  At a lattice point
 then ``((m | H) - g - L) & H`` has the guard bit of each variable with
 ``g_i < m_i``.  That mask is a facet of the upper Koszul complex at ``m``;
 its faces are the submasks of the facets, grouped by popcount, and the
-boundary of a face is keyed by the face with one guard bit cleared.  A
-complex whose facets share a vertex is a cone and is skipped, since it has
-no reduced homology.  No tuple face and no ``SimplicialComplex`` is built on
-this path; that type serves the restriction-complex route.
+boundary of a face is keyed by the face with one guard bit cleared.
+
+The homology is taken relative to a vertex star.  For a vertex v of the
+complex, the star st(v), the faces f with f | {v} a face, is a cone, so it is
+acyclic and holds the empty face; the long exact sequence of the pair gives
+reduced H_k(complex) = H_k(complex, st v) in every degree.  Equivalently,
+F <-> F | {v} is an acyclic matching with no gradient paths to correct, so its
+Morse complex is the relative chain complex (Forman, Morse theory for cell
+complexes, Adv. Math. 1998; Joellenbeck-Welker, Minimal resolutions via
+algebraic discrete Morse theory, Mem. AMS 2009).  ``betti_table`` takes v in
+the most facets, keeps as cells the faces of the facets without v that lie
+in no facet with v, and drops every boundary entry that lands in the star.
+The empty face is in the star, so there is no augmentation: the boundary of
+the vertex level has rank 0.  A complex with no cell is a cone, and a point
+whose only facet is the empty face is a generator, worth one beta_0.  No
+tuple face and no ``SimplicialComplex`` is built on this path; that type
+serves the restriction-complex route.
 """
 
 from __future__ import annotations
@@ -310,16 +323,17 @@ def _faces(facets: Iterable[int]) -> set[int]:
     return faces
 
 
-def _mask_boundary_rows(level: list[int]) -> list[dict[int, int]]:
-    """Rows of the boundary map on faces of one size, keyed by face masks;
-    the variables are ordered by bit position."""
+def _mask_boundary_rows(level: list[int], cells: set[int]) -> list[dict[int, int]]:
+    """Rows of the boundary map on faces of one size, keyed by face masks and
+    kept only on ``cells``; the variables are ordered by bit position."""
     rows = []
     for f in level:
         row = {}
         rest, sign = f, 1
         while rest:
             low = rest & -rest
-            row[f ^ low] = sign
+            if f ^ low in cells:
+                row[f ^ low] = sign
             sign = -sign
             rest ^= low
         rows.append(row)
@@ -370,24 +384,27 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
         raise ValueError("the zero ideal has no Betti table")
     check_characteristic(char)
     packing, gens = _packed_gens(ideal)
+    w = packing.width
+    vertices = [1 << (k * w + w - 1) for k in range(ideal.n)]  # guard bits
     table: dict[tuple[int, int], int] = {}
     for m in _packed_lattice(packing, gens):
         facets = _koszul_facets(packing, gens, m)
-        apex = packing.guard
-        for f in facets:
-            apex &= f
-        if apex:
-            continue  # a cone over a shared vertex
-        by_size: dict[int, list[int]] = {}
-        for f in _faces(facets):
-            by_size.setdefault(f.bit_count(), []).append(f)
-        ranks = [0] * (len(by_size) + 1)  # ranks[k]: the boundary on size-k faces
-        for k in range(1, len(by_size)):
-            # the boundary on the vertices is the augmentation, of rank 1
-            ranks[k] = rank_of_rows(_mask_boundary_rows(by_size[k]), char) if k > 1 else 1
         j = degree(packing.unpack(m))
+        if facets == {0}:
+            table[(0, j)] = table.get((0, j), 0) + 1  # m is a generator
+            continue
+        # cells: the faces outside the star of v, the vertex in the most facets
+        v = max(vertices, key=lambda b: len([f for f in facets if f & b]))
+        cells = _faces(f for f in facets if not f & v) - _faces(f for f in facets if f & v)
+        by_size: dict[int, list[int]] = {}
+        for f in cells:
+            by_size.setdefault(f.bit_count(), []).append(f)
+        # no cells at all is a cone; a level with no cells below it (the
+        # vertices, at least, as the empty face is in the star) has rank 0
+        ranks = {k: rank_of_rows(_mask_boundary_rows(level, cells), char)
+                 for k, level in by_size.items() if k - 1 in by_size}
         for k, level in by_size.items():
-            h = len(level) - ranks[k] - ranks[k + 1]
+            h = len(level) - ranks.get(k, 0) - ranks.get(k + 1, 0)
             if h:
                 table[(k, j)] = table.get((k, j), 0) + h
     return BettiTable.from_dict(char, table)

@@ -1,4 +1,4 @@
-"""Fixtures shared across test modules."""
+"""Fixtures and oracles shared across test modules."""
 
 import pytest
 
@@ -17,3 +17,34 @@ def level_builds(monkeypatch):
 
     monkeypatch.setattr(powers, "_bounded_levels", counted)
     return calls
+
+
+def matching_number(graph) -> int:
+    """Maximum number of pairwise disjoint edges, by exact branching: the
+    lowest active vertex v with an active neighbour stays unmatched or is
+    matched to one of those neighbours.  Active vertex sets are memoized int
+    masks, and the search keeps its own stack, so n is not bounded by the
+    interpreter's recursion limit.  The oracle for ``delta_bmatching`` at
+    c = ones; it is exponential on dense graphs."""
+    adj = [0] + [sum(1 << w for w in graph.adjacency[v]) for v in graph.vertices()]
+    full = sum(1 << v for v in graph.vertices())
+    best: dict[int, int] = {}
+    stack = [full]
+    while stack:
+        mask = rest = stack[-1]
+        while rest and not adj[(rest & -rest).bit_length() - 1] & mask:
+            rest &= rest - 1  # a vertex without an active neighbour stays unmatched
+        if not rest:
+            best[mask] = 0
+            stack.pop()
+            continue
+        v = (rest & -rest).bit_length() - 1
+        rest ^= 1 << v
+        children = [rest] + [rest & ~(1 << w) for w in graph.adjacency[v] if mask >> w & 1]
+        pending = [child for child in children if child not in best]
+        if pending:
+            stack.extend(pending)
+            continue
+        best[mask] = max(best[rest], 1 + max(best[child] for child in children[1:]))
+        stack.pop()
+    return best[full]

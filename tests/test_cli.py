@@ -77,6 +77,13 @@ class TestGraphCommands:
         code, out, _ = run(capsys, ["graph", "match", "--in", src])
         assert code == 0 and json.loads(out) == {"matching_number": 600}
 
+    def test_match_on_a_dense_graph(self, tmp_path, capsys):
+        # K46: exponential for a branching search over vertex subsets
+        edges = [[i, j] for j in range(2, 47) for i in range(1, j)]
+        src = write(tmp_path, "k46.json", json.dumps({"n": 46, "edges": edges}))
+        code, out, _ = run(capsys, ["graph", "match", "--in", src])
+        assert code == 0 and json.loads(out) == {"matching_number": 23}
+
     def test_chordal_graph6_input(self, tmp_path, capsys):
         src = write(tmp_path, "g.g6", "D?{\n")
         code, out, _ = run(capsys, ["graph", "chordal", "--in", src])

@@ -21,6 +21,7 @@ from boundedpowers import (
     minimalize,
     squarefree_power,
 )
+from conftest import matching_number
 
 REMARK_IDEAL = minimalize(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
 TRIANGLE = complete_graph(3).edge_ideal()
@@ -104,7 +105,7 @@ class TestIsMatroidal:
     def test_top_squarefree_power_is_matroidal(self):
         for n in range(2, 6):
             for g in enumerate_labeled_graphs(n):
-                match = g.matching_number()
+                match = matching_number(g)
                 if match == 0:
                     continue
                 assert is_matroidal(squarefree_power(g.edge_ideal(), match)), g.to_graph6()
