@@ -4,8 +4,9 @@ Castelnuovo-Mumford regularity.
 Betti numbers of a monomial ideal are read off reduced homology of upper
 Koszul complexes at the multidegrees of the lcm lattice (Miller-Sturmfels,
 Combinatorial Commutative Algebra, Thm 1.34).  Homology ranks come from exact
-ranks of boundary matrices: integer fraction-free elimination for
-characteristic 0, modular elimination for prime characteristic.  Two further
+ranks of boundary matrices by one plain fraction-free elimination (shortest
+row first, a +-1 pivot entry if there is one), reduced mod p in prime
+characteristic and divided by row contents in characteristic 0.  Two further
 routes to the same table exist for cross-validation: restriction-complex
 homology on squarefree ideals and the degreewise strands of the full
 generator-subset resolution.
@@ -115,89 +116,42 @@ def check_characteristic(char: int) -> None:
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
 
 
+def _reduced(row: Mapping[int, int], char: int) -> dict[int, int]:
+    """The nonzero entries of a row, reduced mod ``char`` when it is a prime
+    and divided by their content when it is 0."""
+    if char:
+        return {c: v % char for c, v in row.items() if v % char}
+    content = _gcd(*row.values()) or 1
+    return {c: v // content for c, v in row.items() if v}
+
+
 def rank_of_rows(rows: Iterable[Mapping[int, int]], char: int = 0) -> int:
     """Exact rank of a sparse integer matrix given as rows {column: value}.
 
-    char 0 works over the rationals with integer fraction-free row operations
-    (each updated row is rescaled by its content); char p reduces modulo p.
-    Pivots prefer unit entries with low fill; column counts are kept up to
-    date as rows are eliminated.
+    Plain elimination: each step pivots on a shortest remaining row, at a +-1
+    entry of it if it has one, and replaces every other row r whose entry in
+    the pivot column is rv by the fraction-free ``pval * r - rv * pivot``.  The
+    update is the same in every characteristic; ``_reduced`` then takes it
+    mod p, or over Q divides it by its content.
     """
     check_characteristic(char)
-    work: list[dict[int, int]] = []
-    colcount: dict[int, int] = {}
-    for row in rows:
-        if char:
-            r = {c: v % char for c, v in row.items() if v % char}
-        else:
-            r = {c: v for c, v in row.items() if v}
-        if r:
-            work.append(r)
-            for c in r:
-                colcount[c] = colcount.get(c, 0) + 1
+    work = [r for r in (_reduced(row, char) for row in rows) if r]
     rank = 0
     while work:
-        # Markowitz pivot: least fill (len(r) - 1) * (colcount - 1); over Q a
-        # non-unit entry ranks after every unit one.  A fill-free unit entry
-        # cannot be beaten, so the scan stops there.
-        nonunit = 0 if char else len(work) * len(colcount)
-        best = None
-        for idx, r in enumerate(work):
-            row_fill = len(r) - 1
-            for c, v in r.items():
-                key = row_fill * (colcount[c] - 1)
-                if v != 1 and v != -1:
-                    key += nonunit
-                if best is None or key < best[0]:
-                    best = (key, idx, c)
-                    if not key:
-                        break
-            if not best[0]:
-                break
-        _, pidx, pcol = best
-        pivot = work.pop(pidx)
+        pivot = work.pop(min(range(len(work)), key=lambda k: len(work[k])))
+        pcol = next((c for c, v in pivot.items() if v in (1, -1)), next(iter(pivot)))
         pval = pivot[pcol]
         rank += 1
-        for c in pivot:
-            colcount[c] -= 1
-        nxt: list[dict[int, int]] = []
+        nxt = []
         for r in work:
             rv = r.get(pcol)
-            if rv is None:
+            if rv is not None:
+                new = {c: pval * v for c, v in r.items()}
+                for c, v in pivot.items():
+                    new[c] = new.get(c, 0) - rv * v
+                r = _reduced(new, char)
+            if r:
                 nxt.append(r)
-                continue
-            for c in r:
-                colcount[c] -= 1
-            if char:
-                factor = rv * pow(pval, char - 2, char) % char
-                new = {}
-                for c, v in r.items():
-                    w = (v - factor * pivot.get(c, 0)) % char
-                    if w:
-                        new[c] = w
-                for c, v in pivot.items():
-                    if c not in r:
-                        w = -factor * v % char
-                        if w:
-                            new[c] = w
-            else:
-                new = {}
-                for c, v in r.items():
-                    w = pval * v - rv * pivot.get(c, 0)
-                    if w:
-                        new[c] = w
-                for c, v in pivot.items():
-                    if c not in r:
-                        new[c] = -rv * v
-                content = 0
-                for v in new.values():
-                    content = _gcd(content, v)
-                if content > 1:
-                    new = {c: v // content for c, v in new.items()}
-            if new:
-                nxt.append(new)
-                for c in new:
-                    colcount[c] = colcount.get(c, 0) + 1
         work = nxt
     return rank
 
@@ -281,20 +235,17 @@ def _packed_gens(ideal: MonomialIdeal) -> tuple[_Packing, list[int]]:
 
 
 def _packed_lattice(packing: _Packing, gens: list[int]) -> set[int]:
-    """The lcm lattice of packed generators, closed under the field-wise max."""
+    """The lcm lattice of packed generators, closed under the field-wise max in
+    one pass: each generator b adds itself and its join with every point so far."""
     guard, shift = packing.guard, packing.width - 1
-    lattice = set(gens)
-    frontier = lattice
-    while frontier:
-        joins = set()
-        for a in frontier:
-            guarded = a | guard
-            for b in gens:
-                ge = (guarded - b) & guard
-                mask = ge - (ge >> shift)
-                joins.add((a & mask) | (b & ~mask))
-        frontier = joins - lattice
-        lattice |= frontier
+    lattice: set[int] = set()
+    for b in gens:
+        joins = {b}
+        for a in lattice:
+            ge = ((a | guard) - b) & guard
+            mask = ge - (ge >> shift)
+            joins.add((a & mask) | (b & ~mask))
+        lattice |= joins
     return lattice
 
 

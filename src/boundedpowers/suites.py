@@ -117,10 +117,15 @@ class SuiteConfig:
         if (self.c_policy == "constant" and self.c_value < floor
                 or self.c_policy == "explicit" and min(self.c_explicit) < floor):
             raise ValueError(f"suite {self.suite!r} needs every entry of c >= {floor}")
-        for name in ("nmax", "random_count", "max_generators", "max_s", "jobs"):
+        # sizes and caps: a field the run does not read holds its default
+        for name in ("nmax", "random_count", "random_nmax", "ideal_max_generators",
+                     "ideal_max_exponent", "samples_per_instance", "max_generators", "max_s",
+                     "jobs"):
+            # a random graph has at least two vertices
+            floor = 2 if name == "random_nmax" and suite.corpus == "graphs" else 1
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            if value is not None and value < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {value}")
         check_characteristic(self.char)
 
 
@@ -183,7 +188,7 @@ def _graph_instances(cfg: SuiteConfig) -> tuple[list[dict], list[tuple | None]]:
         graphs.extend(read_graph6_file(cfg.graph6_path))
     elif cfg.random_count is not None:
         for _ in range(cfg.random_count):
-            n = rng.randint(2, max(cfg.random_nmax, 2))
+            n = rng.randint(2, cfg.random_nmax)
             edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
                      if rng.random() < 0.5]
             graphs.append(Graph.from_edges(n, edges))
@@ -199,7 +204,7 @@ def _graph_instances(cfg: SuiteConfig) -> tuple[list[dict], list[tuple | None]]:
 
 
 def _random_ideal(rng: random.Random, cfg: SuiteConfig) -> MonomialIdeal:
-    n = rng.randint(1, max(cfg.random_nmax, 1))
+    n = rng.randint(1, cfg.random_nmax)
     count = rng.randint(1, cfg.ideal_max_generators)
     gens = []
     for _ in range(count):

@@ -242,6 +242,20 @@ class TestErrorHandling:
         code, out, err = run(capsys, ["verify", "--suite", "regmain"] + argv)
         assert code == 2 and ">= 1" in err and out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--suite", "regmain", "--random-nmax", "-5"], "random_nmax must be >= 2"),
+        (["--suite", "regmain", "--random-nmax", "1"], "random_nmax must be >= 2"),
+        (["--suite", "boston", "--random-nmax", "0"], "random_nmax must be >= 1"),
+    ])
+    def test_random_nmax_out_of_domain(self, capsys, monkeypatch, argv, message):
+        # a random graph has at least two vertices, a random ideal one variable
+        def no_run(cfg):
+            raise AssertionError(f"a run started for {cfg}")
+
+        monkeypatch.setattr(cli, "run_suite", no_run)
+        code, out, err = run(capsys, ["verify", "--count", "3"] + argv)
+        assert code == 2 and message in err and out == ""
+
     @pytest.mark.parametrize("argv", [
         ["--suite", "regmain", "--nmax", "3", "--count", "2",
          "--c-policy", "constant", "--c-value", "2"],

@@ -65,6 +65,46 @@ def fraction_rank(rows):
     return rank
 
 
+def modular_rank(rows, char):
+    """Dense Gaussian elimination over GF(char): the rank oracle in prime
+    characteristic."""
+    cols = sorted({c for r in rows for c in r})
+    dense = [[r.get(c, 0) % char for c in cols] for r in rows]
+    rank = 0
+    for col in range(len(cols)):
+        pivot = next((k for k in range(rank, len(dense)) if dense[k][col]), None)
+        if pivot is None:
+            continue
+        dense[rank], dense[pivot] = dense[pivot], dense[rank]
+        inverse = pow(dense[rank][col], -1, char)
+        for k in range(len(dense)):
+            if k != rank and dense[k][col]:
+                factor = dense[k][col] * inverse
+                dense[k] = [(a - factor * b) % char for a, b in zip(dense[k], dense[rank])]
+        rank += 1
+    return rank
+
+
+def random_rows(rng, max_size, values):
+    """Sparse rows of a random matrix up to max_size x max_size, with entries
+    from ``values``.  About half the rows after the first two are integer
+    combinations of two earlier rows, so the rank often falls short of full."""
+    nrows, ncols = rng.randint(1, max_size), rng.randint(1, max_size)
+    density = rng.choice([0.1, 0.3, 0.6])
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.random() < 0.5:
+            row = {}
+            for earlier in rng.sample(rows, 2):
+                coeff = rng.choice(values)
+                for c, v in earlier.items():
+                    row[c] = row.get(c, 0) + coeff * v
+        else:
+            row = {c: rng.choice(values) for c in range(ncols) if rng.random() < density}
+        rows.append(row)
+    return rows
+
+
 def random_ideal(rng, nmax=5, max_gens=5, max_exp=2):
     n = rng.randint(1, nmax)
     gens = []
@@ -195,12 +235,17 @@ class TestRankOfRows:
     def test_matches_fraction_elimination(self):
         rng = random.Random(83)
         for _ in range(80):
-            nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
-            rows = [
-                {c: rng.randint(-4, 4) for c in range(ncols) if rng.random() < 0.6}
-                for _ in range(nrows)
-            ]
+            rows = random_rows(rng, 30, range(-4, 5))
             assert rank_of_rows(rows) == fraction_rank(rows)
+
+    @pytest.mark.parametrize("char", [2, 3, 5])
+    def test_matches_modular_elimination(self, char):
+        # multiples of char vanish mod char but not over Q
+        rng = random.Random(89 + char)
+        values = [*range(-4, 5), char, -char, 2 * char]
+        for _ in range(60):
+            rows = random_rows(rng, 30, values)
+            assert rank_of_rows(rows, char) == modular_rank(rows, char)
 
 
 class TestPolarize:
@@ -449,7 +494,7 @@ class TestLcmLattice:
 
     def test_matches_subset_enumeration(self):
         rng = random.Random(109)
-        ideals = [random_ideal(rng, nmax=4, max_gens=4) for _ in range(20)]
+        ideals = [random_ideal(rng, nmax=4, max_gens=8, max_exp=3) for _ in range(30)]
         for ideal in ideals + boundary_ideals():
             expected = set()
             gens = ideal.gens

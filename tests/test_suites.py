@@ -113,6 +113,32 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be >= 1"):
             SuiteConfig(suite="regmain", **corpus)
 
+    @pytest.mark.parametrize("suite, options, field, floor", [
+        ("regmain", dict(random_nmax=1), "random_nmax", 2),
+        ("regmain", dict(random_nmax=-5), "random_nmax", 2),
+        ("essen", dict(random_nmax=0), "random_nmax", 2),
+        ("boston", dict(random_nmax=0), "random_nmax", 1),
+        ("istanbul", dict(random_nmax=-1), "random_nmax", 1),
+        ("boston", dict(ideal_max_generators=0), "ideal_max_generators", 1),
+        ("boston", dict(ideal_max_exponent=0), "ideal_max_exponent", 1),
+        ("istanbul", dict(ideal_max_exponent=-2), "ideal_max_exponent", 1),
+        ("boston", dict(samples_per_instance=0), "samples_per_instance", 1),
+    ])
+    def test_random_corpus_size_out_of_domain(self, suite, options, field, floor):
+        # exponent 0 would loop forever on the zero generator, 0 generators
+        # would fail inside random, 0 samples would drop every record, and a
+        # random graph needs two vertices
+        with pytest.raises(ValueError, match=f"{field} must be >= {floor}, got "):
+            SuiteConfig(suite=suite, random_count=3, **options)
+
+    def test_random_corpus_sizes_at_their_floor(self):
+        report = run_suite(SuiteConfig(suite="regmain", random_count=4, random_nmax=2, **C2))
+        assert {len(r["instance"]["c"]) for r in report.records} == {2}
+        report = run_suite(SuiteConfig(suite="boston", random_count=5, random_nmax=1,
+                                       ideal_max_generators=1, ideal_max_exponent=1,
+                                       samples_per_instance=1))
+        assert report.summary["total"] == 5 and report.failed == 0
+
     @pytest.mark.parametrize("corpus", [
         dict(nmax=3, random_count=2),
         dict(nmax=3, graph6_path="g.g6"),
