@@ -13,7 +13,6 @@ from .connections import (
     edge_factorization,
     even_connected_targets,
     find_even_connection,
-    has_colon_splitting_order,
     is_valid_even_connection,
 )
 from .graphs import (
@@ -34,7 +33,6 @@ from .homology import (
     betti_table_hochster,
     betti_table_taylor,
     has_linear_resolution,
-    lcm_lattice,
     polarize,
     rank_of_rows,
     reduced_homology_ranks,
@@ -45,6 +43,7 @@ from .linquot import (
     SearchCapExceeded,
     all_bounded_powers_lq,
     find_lq_ordering,
+    has_colon_splitting_order,
     is_lq_ordering,
     restrict_lq_ordering,
 )

@@ -40,14 +40,15 @@ def _write_output(args, text: str) -> None:
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; an empty entry is an error, an empty string
+    the empty vector."""
+    parts = text.replace(" ", "").split(",")
+    if parts == [""]:
+        return ()
     try:
-        return tuple(int(part) for part in text.replace(" ", "").split(",") if part != "")
+        return tuple(int(part) for part in parts)
     except ValueError as exc:
         raise ValueError(f"cannot parse integer vector from {text!r}") from exc
-
-
-def _load_ideal(text: str) -> MonomialIdeal:
-    return MonomialIdeal.from_json(text)
 
 
 def _load_graph(text: str) -> Graph:
@@ -59,7 +60,7 @@ def _load_graph(text: str) -> Graph:
 
 
 def _cmd_ideal(args) -> int:
-    ideal = _load_ideal(_read_input(args))
+    ideal = MonomialIdeal.from_json(_read_input(args))
     if args.op == "restrict":
         result = ideal.restrict(_parse_vector(args.c)).to_json()
     elif args.op == "power":
@@ -87,14 +88,11 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    text = _read_input(args)
-    stripped = text.strip()
-    if stripped.startswith("{") and "edges" in json.loads(stripped):
-        ideal = Graph.from_json(stripped).edge_ideal()
-    elif stripped.startswith("{"):
-        ideal = _load_ideal(stripped)
+    text = _read_input(args).strip()
+    if text.startswith("{") and "edges" not in json.loads(text):
+        ideal = MonomialIdeal.from_json(text)
     else:
-        ideal = _load_graph(stripped).edge_ideal()
+        ideal = _load_graph(text).edge_ideal()
     if args.c is not None:
         c = _parse_vector(args.c)
     elif args.c_policy == "ones":
@@ -106,7 +104,7 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_lq(args) -> int:
-    ideal = _load_ideal(_read_input(args))
+    ideal = MonomialIdeal.from_json(_read_input(args))
     if args.op == "find":
         ordering = find_lq_ordering(ideal, args.max_gens)
         payload = {"found": ordering is not None,
@@ -119,7 +117,7 @@ def _cmd_lq(args) -> int:
 
 
 def _cmd_polymatroidal(args) -> int:
-    ideal = _load_ideal(_read_input(args))
+    ideal = MonomialIdeal.from_json(_read_input(args))
     poly = is_polymatroidal(ideal)
     payload = {
         "equigenerated": is_equigenerated(ideal),

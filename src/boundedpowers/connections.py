@@ -24,13 +24,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Edge, Graph, normalize_edge
-from .linquot import DEFAULT_GENERATOR_CAP, SearchCapExceeded, _lq_pair_data, search_ordering
 from .monomials import (
     BoundVector,
     Monomial,
     MonomialIdeal,
     _check_monomial,
-    colon_mono,
     degree,
     is_bounded,
     minimalize,
@@ -253,29 +251,3 @@ def colon_generated_in_degree_two(power: MonomialIdeal, nxt: MonomialIdeal) -> b
         if any(degree(w) != 2 for w in nxt.colon(u).gens):
             return False
     return True
-
-
-def has_colon_splitting_order(
-    power: MonomialIdeal, nxt: MonomialIdeal, max_generators: int = DEFAULT_GENERATOR_CAP
-) -> bool:
-    """Whether the generators of ``power`` admit a labeling u_1..u_m so that
-    for every j < i, either u_j : u_i lies in ``nxt : u_i``, or some earlier
-    u_r has u_r : u_i a variable dividing u_j : u_i.  ``power, nxt`` are
-    consecutive bounded powers ``chain[s - 1], chain[s]``, 1 <= s <= delta - 1.
-    Complete backtracking; refuses ideals above the generator cap.
-    """
-    gens = power.gens
-    m = len(gens)
-    if m > max_generators:
-        raise SearchCapExceeded(
-            f"labeling search refused: {m} generators > cap {max_generators}"
-        )
-    if m <= 1:
-        return True
-    colon_ideals = [nxt.colon(u) for u in gens]
-    pair_ok_free = [
-        [i != j and colon_ideals[i].contains(colon_mono(gens[j], gens[i])) for i in range(m)]
-        for j in range(m)
-    ]
-    supp_masks, var_bits = _lq_pair_data(power)
-    return search_ordering(m, pair_ok_free, supp_masks, var_bits) is not None

@@ -133,7 +133,7 @@ class Graph:
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         data = json.loads(text)
-        if not (isinstance(data, dict) and isinstance(data.get("n"), int)
+        if not (isinstance(data, dict) and type(data.get("n")) is int
                 and _is_int_rows(data.get("edges"), 2)):
             raise ValueError('graph JSON must look like {"n": int, "edges": [[i,j],...]}')
         return cls.from_edges(data["n"], data["edges"])

@@ -291,14 +291,6 @@ def _mask_boundary_rows(level: list[int], cells: set[int]) -> list[dict[int, int
     return rows
 
 
-def lcm_lattice(ideal: MonomialIdeal) -> list[Monomial]:
-    """All least common multiples of nonempty sets of minimal generators,
-    sorted by degree, then lexicographically."""
-    packing, gens = _packed_gens(ideal)
-    return sorted(map(packing.unpack, _packed_lattice(packing, gens)),
-                  key=lambda u: (degree(u), u))
-
-
 @dataclass(frozen=True)
 class BettiTable:
     """Graded Betti numbers beta_{i,j} with the field characteristic recorded.
@@ -391,16 +383,14 @@ def betti_table_hochster(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     if ideal.is_unit():
         raise ValueError("the unit ideal has no proper face complex")
     supports = [frozenset(support(g)) for g in ideal.gens]
-    sigmas = sorted(
-        {frozenset(support(m)) for m in lcm_lattice(ideal)},
-        key=lambda s: (len(s), sorted(s)),
-    )
+    # the unions of supports, closed here rather than through betti_table's
+    # lcm lattice so that the two routes share no code
+    sigmas: set[frozenset[int]] = set()
+    for s in supports:
+        sigmas |= {s} | {s | t for t in sigmas}
     table: dict[tuple[int, int], int] = {}
-    for sigma in sigmas:
+    for sigma in sorted(sigmas, key=lambda s: (len(s), sorted(s))):
         inside = [s for s in supports if s <= sigma]
-        covered = frozenset().union(*inside) if inside else frozenset()
-        if covered != sigma:
-            continue  # some vertex of sigma is an apex: the restriction is a cone
         verts = sorted(sigma)
         faces = []
         for mask in range(1 << len(verts)):

@@ -6,7 +6,8 @@ equivalently, for every j < i some k < i has u_k : u_i equal to a single
 variable dividing u_j : u_i.  The search for an ordering is complete
 backtracking over "admissible next generator", memoized on the chosen subset:
 admissibility depends only on the set of generators already placed, not on
-their sequence.
+their sequence.  The colon-splitting labeling of consecutive bounded powers
+runs the same search with some pairs met in advance.
 """
 
 from __future__ import annotations
@@ -64,16 +65,13 @@ def is_lq_ordering(ideal: MonomialIdeal, order: tuple[int, ...]) -> bool:
 
 
 def search_ordering(
-    m: int,
-    pair_ok_free: list[list[bool]],
-    supp_masks: list[list[int]],
-    var_bits: list[list[int]],
+    m: int, needs: list[list[int]], var_bits: list[list[int]]
 ) -> tuple[int, ...] | None:
     """Backtracking search for an ordering of 0..m-1 subject to pair conditions.
 
-    Element i may follow the placed set S iff for every j in S either
-    ``pair_ok_free[j][i]`` holds or some k in S has ``var_bits[k][i]`` set and
-    contained in ``supp_masks[j][i]``.  Failed placed-sets are memoized as
+    Element i may follow the placed set S iff for every j in S the mask
+    ``needs[j][i]`` is 0 (the pair is met in advance) or shares a bit with
+    ``var_bits[k][i]`` for some k in S.  Failed placed-sets are memoized as
     bitmasks; candidates are tried in ascending index order, so the first
     complete ordering found is the lexicographically smallest valid one.
     The search keeps its own stack, so its depth m is not bounded by the
@@ -82,8 +80,6 @@ def search_ordering(
     variables in any fixed layout: ``_lq_pair_data`` puts each variable at its
     field's guard-bit position, not at its variable index.
     """
-    if m == 0:
-        return ()
     full = (1 << m) - 1
     failed: set[int] = set()
     order: list[int] = []
@@ -100,8 +96,8 @@ def search_ordering(
             varmask = varmasks[i]
             rest = mask
             while rest:
-                j = (rest & -rest).bit_length() - 1
-                if not pair_ok_free[j][i] and not supp_masks[j][i] & varmask:
+                need = needs[(rest & -rest).bit_length() - 1][i]
+                if need and not need & varmask:
                     break
                 rest &= rest - 1
             if not rest:
@@ -121,6 +117,9 @@ def _lq_pair_data(ideal: MonomialIdeal):
     """Per pair (j, i): the support bitmask of gens[j] : gens[i], and the same
     mask again in ``var_bits`` when that colon is a single variable.
 
+    The support mask is 0 only when gens[j] divides gens[i], so off the
+    diagonal it is never 0 for the minimal generators of a ``MonomialIdeal``;
+    ``search_ordering`` can therefore read a 0 as a pair met in advance.
     Both come from packed generators (``monomials._Packing``) whose fields
     have room for one more than the largest exponent, so no field below
     borrows.  With guard bits H and a 1 in every field L, field k of
@@ -144,6 +143,11 @@ def _lq_pair_data(ideal: MonomialIdeal):
     return supp_masks, var_bits
 
 
+def _check_cap(m: int, cap: int, search: str) -> None:
+    if m > cap:
+        raise SearchCapExceeded(f"{search} search refused: {m} generators > cap {cap}")
+
+
 def find_lq_ordering(
     ideal: MonomialIdeal, max_generators: int = DEFAULT_GENERATOR_CAP
 ) -> LQOrdering | None:
@@ -152,19 +156,34 @@ def find_lq_ordering(
     The search is complete, so None is a proof of absence.  Ideals with more
     than ``max_generators`` generators are refused via SearchCapExceeded.
     """
-    m = len(ideal.gens)
-    if m > max_generators:
-        raise SearchCapExceeded(
-            f"linear quotients search refused: {m} generators > cap {max_generators}"
-        )
-    if m <= 1:
-        return LQOrdering(ideal, tuple(range(m)), valid=True)
-    supp_masks, var_bits = _lq_pair_data(ideal)
-    pair_ok_free = [[False] * m for _ in range(m)]
-    order = search_ordering(m, pair_ok_free, supp_masks, var_bits)
+    _check_cap(len(ideal.gens), max_generators, "linear quotients")
+    order = search_ordering(len(ideal.gens), *_lq_pair_data(ideal))
     if order is None:
         return None
     return LQOrdering(ideal, order, valid=True)
+
+
+def has_colon_splitting_order(
+    power: MonomialIdeal, nxt: MonomialIdeal, max_generators: int = DEFAULT_GENERATOR_CAP
+) -> bool:
+    """Whether the generators of ``power`` admit a labeling u_1..u_m so that
+    for every j < i, either u_j : u_i lies in ``nxt : u_i``, or some earlier
+    u_r has u_r : u_i a variable dividing u_j : u_i.  ``power, nxt`` are
+    consecutive bounded powers ``chain[s - 1], chain[s]``, 1 <= s <= delta - 1.
+
+    This is the linear quotients search with the pairs of the first kind met
+    in advance: their need masks are cleared.  Refuses ideals above the
+    generator cap.
+    """
+    gens = power.gens
+    _check_cap(len(gens), max_generators, "labeling")
+    needs, var_bits = _lq_pair_data(power)
+    for i, u in enumerate(gens):
+        colon = nxt.colon(u)
+        for j, row in enumerate(needs):
+            if colon.contains(colon_mono(gens[j], u)):
+                row[i] = 0
+    return search_ordering(len(gens), needs, var_bits) is not None
 
 
 def restrict_lq_ordering(

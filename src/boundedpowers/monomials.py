@@ -55,9 +55,10 @@ def _check_same_ambient(u: Sequence[int], v: Sequence[int]) -> None:
 
 
 def _is_int_rows(rows: object, width: int | None = None) -> bool:
-    """Whether decoded JSON is a list of lists of ints, each ``width`` long if given."""
+    """Whether decoded JSON is a list of lists of ints, each ``width`` long if
+    given.  ``bool`` is a subclass of ``int``, so ``true`` is refused by type."""
     return isinstance(rows, list) and all(
-        isinstance(r, list) and width in (None, len(r)) and all(isinstance(a, int) for a in r)
+        isinstance(r, list) and width in (None, len(r)) and all(type(a) is int for a in r)
         for r in rows
     )
 
@@ -168,7 +169,7 @@ class MonomialIdeal:
     @classmethod
     def from_json(cls, text: str) -> "MonomialIdeal":
         data = json.loads(text)
-        if not (isinstance(data, dict) and isinstance(data.get("n"), int)
+        if not (isinstance(data, dict) and type(data.get("n")) is int
                 and _is_int_rows(data.get("gens"))):
             raise ValueError('ideal JSON must look like {"n": int, "gens": [[int,...],...]}')
         return minimalize(data["n"], (tuple(g) for g in data["gens"]))

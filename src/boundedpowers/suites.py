@@ -30,11 +30,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from .canon import canonical_form
-from .connections import (
-    colon_generated_in_degree_two,
-    colon_quadrics,
-    has_colon_splitting_order,
-)
+from .connections import colon_generated_in_degree_two, colon_quadrics
 from .graphs import Graph, enumerate_labeled_graphs, parse_graph6, read_graph6_file
 from .homology import check_characteristic, has_linear_resolution, regularity
 from .linquot import (
@@ -42,6 +38,7 @@ from .linquot import (
     SearchCapExceeded,
     all_bounded_powers_lq,
     find_lq_ordering,
+    has_colon_splitting_order,
     restrict_lq_ordering,
 )
 from .monomials import MonomialIdeal, minimalize

@@ -107,6 +107,17 @@ class TestOtherCommands:
         code, out, _ = run(capsys, ["delta", "--c", "1,1,1,1", "--in", src])
         assert code == 0 and json.loads(out)["delta"] == 2
 
+    def test_delta_on_graph6(self, tmp_path, capsys):
+        src = write(tmp_path, "p4.g6", "Ch\n")  # the path 1-2-3-4
+        code, out, _ = run(capsys, ["delta", "--c", "1,1,1,1", "--in", src])
+        assert code == 0 and json.loads(out) == {"delta": 2, "c": [1, 1, 1, 1]}
+
+    def test_lq_check_empty_order(self, capsys, monkeypatch):
+        # an empty string is the empty vector: the ordering of the zero ideal
+        code, out, _ = run(capsys, ["lq", "check", "--order", ""],
+                           stdin='{"n": 1, "gens": []}', monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out) == {"order": [], "valid": True}
+
     def test_lq_find_and_check(self, tmp_path, capsys):
         src = write(tmp_path, "i.json", REMARK_IDEAL_JSON)
         code, out, _ = run(capsys, ["lq", "find", "--in", src])
@@ -293,6 +304,31 @@ class TestErrorHandling:
                                     "--max-s", "1"])
         assert code == 0
         assert json.loads(out)["summary"] == {"pass": 0, "fail": 0, "skip": 75, "total": 75}
+
+    def test_delta_without_a_bound(self, tmp_path, capsys):
+        src = write(tmp_path, "g.json", P4_JSON)
+        code, _, err = run(capsys, ["delta", "--in", src])
+        assert code == 2 and "delta needs --c or --c-policy ones" in err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["ideal", "restrict", "--c", "1,,1"], '{"n": 2, "gens": [[1, 1]]}'),
+        (["lq", "check", "--order", "0,,"], '{"n": 2, "gens": [[1, 1]]}'),
+        (["colon-quadrics", "--s", "1", "--c", "1,1,1,1", "--u", "0,1,1,"], P4_JSON),
+    ])
+    def test_empty_vector_entry(self, capsys, monkeypatch, argv, text):
+        code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "cannot parse integer vector" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, text", [
+        (["ideal", "reg"], '{"n": true, "gens": [[1]]}'),
+        (["ideal", "reg"], '{"n": 2, "gens": [[true, 1]]}'),
+        (["graph", "chordal"], '{"n": 2, "edges": [[true, 2]]}'),
+        (["delta", "--c", "1"], '{"n": true, "gens": [[1]]}'),
+    ])
+    def test_json_booleans_are_not_integers(self, capsys, monkeypatch, command, text):
+        code, out, err = run(capsys, command, stdin=text, monkeypatch=monkeypatch)
+        assert code == 2 and out == "" and "must look like" in err
 
     @pytest.mark.parametrize("command, text", [
         (["ideal", "reg"], '{"n":2,"gens":[1]}'),

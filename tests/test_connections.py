@@ -214,6 +214,10 @@ class TestColonQuadrics:
     def test_triangle_top_degenerates_to_zero(self):
         assert colon_quadrics(complete_graph(3), 1, (1, 1, 1), (1, 1, 0)).is_zero()
 
+    def test_rejects_s_below_one(self):
+        with pytest.raises(ValueError, match="s must be >= 1, got 0"):
+            colon_quadrics(path_graph(4), 0, (1, 1, 1, 1), (0, 0, 0, 0))
+
     def test_rejects_non_generator(self):
         with pytest.raises(ValueError):
             colon_quadrics(complete_graph(2), 2, (1, 1), (1, 1))
@@ -370,8 +374,9 @@ class TestSplittingOrder:
 
     def test_cap_refusal(self):
         chain = bounded_power_chain(complete_graph(5).edge_ideal(), (2,) * 5)
-        with pytest.raises(SearchCapExceeded):
+        with pytest.raises(SearchCapExceeded) as exc:
             has_colon_splitting_order(chain[0], chain[1], max_generators=3)
+        assert str(exc.value) == "labeling search refused: 10 generators > cap 3"
 
     def test_agrees_with_permutation_oracle(self):
         rng = random.Random(71)

@@ -218,3 +218,12 @@ def test_graph6_round_trip_property(n, seed):
 def test_json_round_trip():
     g = Graph.from_edges(4, [(2, 1), (3, 4)])
     assert Graph.from_json(g.to_json()) == g
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": true, "edges": []}',
+    '{"n": 2, "edges": [[true, 2]]}',
+])
+def test_json_booleans_are_not_integers(text):
+    with pytest.raises(ValueError, match="must look like"):
+        Graph.from_json(text)

@@ -108,8 +108,9 @@ class TestFindLQOrdering:
     def test_cap_refusal(self):
         gens = [tuple(1 if k in pair else 0 for k in range(6)) for pair in combinations(range(6), 2)]
         big = minimalize(6, gens)
-        with pytest.raises(SearchCapExceeded):
+        with pytest.raises(SearchCapExceeded) as exc:
             find_lq_ordering(big, max_generators=5)
+        assert str(exc.value) == "linear quotients search refused: 15 generators > cap 5"
 
     def test_deterministic_tie_break(self):
         ideal = path_graph(3).edge_ideal()
@@ -223,6 +224,17 @@ class TestPairTable:
                     expected = supp_masks[j][i] if degree(colon) == 1 else 0
                     assert var_bits[j][i] == expected
 
+    def test_off_diagonal_masks_are_nonzero(self):
+        # search_ordering reads a 0 need mask as a pair met in advance, so
+        # find_lq_ordering relies on minimal generators never giving one
+        rng = random.Random(43)
+        ideals = [random_ideal(rng, nmax=6, max_gens=8, max_exp=3) for _ in range(200)]
+        ideals += bounded_power_chain(complete_graph(4).edge_ideal(), (2,) * 4)
+        for ideal in ideals:
+            supp_masks, _ = _lq_pair_data(ideal)
+            for j, row in enumerate(supp_masks):
+                assert all(mask for i, mask in enumerate(row) if i != j)
+
     def test_order_is_the_first_valid_permutation(self):
         # the search returns the lexicographically smallest ordering with
         # linear quotients, which brute force meets first in permutation order
@@ -244,15 +256,14 @@ class TestPairTable:
 
 class TestSearchOrdering:
     @staticmethod
-    def admissible(order, pair_ok_free, supp_masks, var_bits):
+    def admissible(order, needs, var_bits):
         """The pair condition of ``search_ordering``, read off directly."""
         for pos, i in enumerate(order):
             placed = order[:pos]
             varmask = 0
             for k in placed:
                 varmask |= var_bits[k][i]
-            if any(not pair_ok_free[j][i] and not supp_masks[j][i] & varmask
-                   for j in placed):
+            if any(needs[j][i] and not needs[j][i] & varmask for j in placed):
                 return False
         return True
 
@@ -262,8 +273,8 @@ class TestSearchOrdering:
         for _ in range(400):
             m = rng.randint(0, 6)
             tables = (
-                [[rng.random() < 0.3 for _ in range(m)] for _ in range(m)],
-                [[rng.getrandbits(4) for _ in range(m)] for _ in range(m)],
+                [[0 if rng.random() < 0.3 else rng.getrandbits(4) for _ in range(m)]
+                 for _ in range(m)],
                 [[1 << rng.randrange(4) if rng.random() < 0.4 else 0 for _ in range(m)]
                  for _ in range(m)],
             )
@@ -277,6 +288,5 @@ class TestSearchOrdering:
         # i may follow any placed set that does not hold i + 1, so the only
         # ordering is 0, ..., m-1, one search level per element
         m = sys.getrecursionlimit() + 50
-        zeros = [0] * m
-        pair_ok_free = [[j != i + 1 for i in range(m)] for j in range(m)]
-        assert search_ordering(m, pair_ok_free, [zeros] * m, [zeros] * m) == tuple(range(m))
+        needs = [[int(j == i + 1) for i in range(m)] for j in range(m)]
+        assert search_ordering(m, needs, [[0] * m] * m) == tuple(range(m))

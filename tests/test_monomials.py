@@ -142,6 +142,15 @@ class TestIdealOps:
         assert MonomialIdeal.from_json(i.to_json()) == i
         assert '"n": 3' in i.to_json()
 
+    @pytest.mark.parametrize("text", [
+        '{"n": true, "gens": [[1]]}',
+        '{"n": 2, "gens": [[true, 1]]}',
+        '{"n": 2, "gens": [[1, 0], [0, false]]}',
+    ])
+    def test_json_booleans_are_not_integers(self, text):
+        with pytest.raises(ValueError, match="must look like"):
+            MonomialIdeal.from_json(text)
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             minimalize(2, [(-1, 0)])

@@ -371,6 +371,17 @@ class TestTheoremSuitesSmall:
             assert report.failed == 0, report.counterexamples[:1]
             assert report.summary["pass"] > 0
 
+    @pytest.mark.parametrize("suite", ["boston", "istanbul"])
+    def test_ideal_over_the_cap_is_one_skip(self, suite):
+        # a refused ideal stands as one skip record for all its c samples
+        report = run_suite(SuiteConfig(suite=suite, random_count=60, seed=3, max_generators=3))
+        refused = [r for r in report.records if "refused" in r["detail"]]
+        assert refused
+        for r in refused:
+            assert r["outcome"] == "skip" and r["s"] is None and "|" not in r["key"]
+            assert r["detail"] == "linear quotients search refused: 4 generators > cap 3"
+            assert not any(q["key"].startswith(r["key"] + "|") for q in report.records)
+
 
 class TestSRange:
     @pytest.mark.parametrize("suite", ["deg2", "rfirst"])
