@@ -7,18 +7,18 @@ of I^s whose exponent vectors stay under the bound vector c.
 """
 
 from boundedpowers import (
+    MonomialIdeal,
     bounded_power,
     complete_graph,
     cycle_graph,
     delta,
     delta_bmatching,
-    minimalize,
     path_graph,
     squarefree_power,
 )
 
-# Ideals are built by minimalizing any generating set.
-I = minimalize(3, [(1, 1, 0), (0, 1, 1), (1, 1, 1)])
+# The constructor takes any generating set and keeps its minimal generators.
+I = MonomialIdeal(3, [(1, 1, 0), (0, 1, 1), (1, 1, 1)])
 print("minimal generators of (x1x2, x2x3, x1x2x3):", I)
 
 # Ordinary powers multiply generators; bounded powers then filter by c.

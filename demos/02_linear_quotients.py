@@ -9,16 +9,16 @@ complement graph.
 """
 
 from boundedpowers import (
+    MonomialIdeal,
     all_bounded_powers_lq,
     cycle_graph,
     enumerate_labeled_graphs,
     find_lq_ordering,
     is_lq_ordering,
-    minimalize,
     restrict_lq_ordering,
 )
 
-I = minimalize(2, [(2, 0), (1, 1), (0, 2)])
+I = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
 print("ideal:", I)
 print("is (0,1,2) a linear quotients ordering?", is_lq_ordering(I, (0, 1, 2)))
 print("is (2,0,1)?", is_lq_ordering(I, (2, 0, 1)))
@@ -32,7 +32,7 @@ print("restricted to c=(1,1):", induced.ideal, "order", induced.order,
       "still linear quotients:", induced.valid)
 
 # The classical two-generator counterexample: no ordering exists at all.
-R = minimalize(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
+R = MonomialIdeal(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
 print("\ncounterexample ideal:", R)
 print("search result:", find_lq_ordering(R))
 

@@ -10,6 +10,7 @@ generator-subset resolution) recompute the same table independently.
 from itertools import combinations
 
 from boundedpowers import (
+    MonomialIdeal,
     SimplicialComplex,
     betti_table,
     betti_table_hochster,
@@ -18,7 +19,6 @@ from boundedpowers import (
     cycle_graph,
     delta,
     has_linear_resolution,
-    minimalize,
     path_graph,
     polarize,
     regularity,
@@ -31,7 +31,7 @@ print("I(C5) regularity:", regularity(cycle_graph(5).edge_ideal()))
 
 # Polarization replaces x_i^k by k distinct variables without changing the
 # homological data.
-J = minimalize(2, [(2, 0), (1, 1), (0, 2)])
+J = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
 polarized, pmap = polarize(J)
 print("\npolarization of (x1^2, x1x2, x2^2):", polarized,
       "with multiplicities", pmap.multiplicities)
@@ -54,7 +54,7 @@ nonfaces = [
     for sub in combinations(range(1, 7), size)
     if sub not in faces and all(sub[:k] + sub[k + 1:] in faces for k in range(size))
 ]
-rp2 = minimalize(6, nonfaces)
+rp2 = MonomialIdeal(6, nonfaces)
 print("\nprojective-plane face ideal: reg over Q =", regularity(rp2, 0),
       ", over F2 =", regularity(rp2, 2))
 

@@ -55,7 +55,6 @@ from .monomials import (
     degree,
     divides,
     is_bounded,
-    minimalize,
     support,
 )
 from .polymatroid import (

@@ -55,8 +55,10 @@ def _load_graph(text: str) -> Graph:
     stripped = text.strip()
     if stripped.startswith("{"):
         return Graph.from_json(stripped)
-    first = stripped.splitlines()[0] if stripped else ""
-    return parse_graph6(first)
+    lines = [line for line in stripped.splitlines() if line.strip()]
+    if len(lines) > 1:
+        raise ValueError(f"expected one graph6 line, got {len(lines)} non-empty lines")
+    return parse_graph6(lines[0] if lines else "")
 
 
 def _cmd_ideal(args) -> int:

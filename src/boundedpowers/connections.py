@@ -31,7 +31,6 @@ from .monomials import (
     _check_monomial,
     degree,
     is_bounded,
-    minimalize,
 )
 
 
@@ -239,7 +238,7 @@ def colon_quadrics(
             q[i - 1] += 1
             q[j - 1] += 1
             quadrics.append(tuple(q))
-    return minimalize(graph.n, quadrics)
+    return MonomialIdeal(graph.n, quadrics)
 
 
 def colon_generated_in_degree_two(power: MonomialIdeal, nxt: MonomialIdeal) -> bool:

@@ -80,7 +80,7 @@ class Graph:
             g[i - 1] = 1
             g[j - 1] = 1
             gens.append(tuple(g))
-        return MonomialIdeal(self.n, tuple(sorted(gens)))
+        return MonomialIdeal(self.n, gens)
 
     def complement(self) -> "Graph":
         all_pairs = {(i, j) for i, j in combinations(self.vertices(), 2)}
@@ -160,10 +160,10 @@ def parse_graph6(line: str) -> Graph:
         base = len(GRAPH6_HEADER)
     if not text:
         raise Graph6Error("empty graph6 line", base)
-    data = text.encode("ascii", errors="replace")
-    for k, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b!r} outside graph6 range 63..126", base + k)
+    for k, ch in enumerate(text):
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6Error(f"character {ch!r} outside graph6 range 63..126", base + k)
+    data = text.encode("ascii")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise Graph6Error("graph6 >258047 vertices not supported", base)

@@ -218,11 +218,10 @@ def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, PolarizationMap]:
         raise ValueError("cannot polarize the unit ideal (no target variables)")
     mults = tuple(max(g[i] for g in ideal.gens) for i in range(ideal.n))
     # x_i^a becomes the first a of the m_i target variables of x_i
-    gens = sorted(
+    polarized = MonomialIdeal(sum(mults), (
         tuple(bit for a, m in zip(g, mults) for bit in (1,) * a + (0,) * (m - a))
         for g in ideal.gens
-    )
-    polarized = MonomialIdeal(sum(mults), tuple(gens))
+    ))
     assert len(polarized.gens) == len(ideal.gens)
     return polarized, PolarizationMap(ideal.n, mults)
 

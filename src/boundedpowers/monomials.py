@@ -2,9 +2,10 @@
 
 Monomials are exponent vectors: plain tuples of nonnegative ints of a fixed
 length n (the ambient variable count).  Variables are 1-based, so the exponent
-of x_i lives at index i-1.  A :class:`MonomialIdeal` is the canonical minimal
-generating set: generators sorted lexicographically, pairwise non-dividing.
-Equality of ideals is equality of representations.
+of x_i lives at index i-1.  A :class:`MonomialIdeal` stores the canonical
+minimal generating set, which its constructor makes from any generators:
+sorted lexicographically, pairwise non-dividing.  Equality of ideals is
+equality of representations.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
-from typing import Iterable, Sequence
+from operator import le
+from typing import Sequence
 
 Monomial = tuple[int, ...]
 BoundVector = tuple[int, ...]
@@ -105,11 +107,20 @@ class _Packing:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal given by its canonical minimal generating set.
+    """A monomial ideal, stored as its canonical minimal generating set.
 
-    ``gens`` is lexicographically sorted and pairwise non-dividing; the empty
-    tuple is the zero ideal and ``((0,)*n,)`` the unit ideal.  Build instances
-    through :func:`minimalize` (or the methods below) so the invariants hold.
+    The constructor accepts any iterable of exponent sequences and keeps the
+    canonical form: duplicates and strict multiples are dropped, and ``gens``
+    is lexicographically sorted and pairwise non-dividing.  An empty input
+    gives the zero ideal, and ``gens == ((0,)*n,)`` is the unit ideal.  Every
+    distinct input is validated once, so a wrong-length or negative monomial
+    raises ValueError even when it would have been dropped.
+
+    A candidate is tested only against kept generators of strictly lower
+    degree.  That is enough: a proper divisor has lower degree, and two
+    distinct monomials of equal degree never divide each other, so an
+    equigenerated input (every bounded power of an edge ideal) makes no
+    divisibility test at all.
     """
 
     n: int
@@ -118,8 +129,17 @@ class MonomialIdeal:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("ambient variable count must be positive")
-        for g in self.gens:
-            _check_monomial(self.n, g)
+        distinct = set(map(tuple, self.gens))
+        for u in distinct:
+            if len(u) != self.n or min(u) < 0:
+                _check_monomial(self.n, u)  # raises, naming the fault
+        kept: list[Monomial] = []
+        for _, same_degree in groupby(sorted(distinct, key=sum), key=sum):
+            if kept:
+                lower = tuple(kept)
+                same_degree = [u for u in same_degree if not any(all(map(le, v, u)) for v in lower)]
+            kept.extend(same_degree)
+        object.__setattr__(self, "gens", tuple(sorted(kept)))
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -139,9 +159,7 @@ class MonomialIdeal:
         of the ideal is divisible by a generator, which is then c-bounded too.
         """
         c = _check_monomial(self.n, c)
-        kept = tuple(g for g in self.gens if is_bounded(g, c))
-        # a subset of a minimal generating set is minimal and stays sorted
-        return MonomialIdeal(self.n, kept)
+        return MonomialIdeal(self.n, (g for g in self.gens if is_bounded(g, c)))
 
     def power(self, s: int) -> "MonomialIdeal":
         """The s-th ordinary power, s >= 1, by multiset products of generators."""
@@ -156,12 +174,12 @@ class MonomialIdeal:
                 for i, a in enumerate(g):
                     prod[i] += a
             products.add(tuple(prod))
-        return minimalize(self.n, products)
+        return MonomialIdeal(self.n, products)
 
     def colon(self, u: Monomial) -> "MonomialIdeal":
         """The colon ideal (self : u), generated by the g : u over generators g."""
         u = _check_monomial(self.n, u)
-        return minimalize(self.n, (colon_mono(g, u) for g in self.gens))
+        return MonomialIdeal(self.n, (colon_mono(g, u) for g in self.gens))
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "gens": [list(g) for g in self.gens]})
@@ -172,39 +190,12 @@ class MonomialIdeal:
         if not (isinstance(data, dict) and type(data.get("n")) is int
                 and _is_int_rows(data.get("gens"))):
             raise ValueError('ideal JSON must look like {"n": int, "gens": [[int,...],...]}')
-        return minimalize(data["n"], (tuple(g) for g in data["gens"]))
+        return cls(data["n"], data["gens"])
 
     def __str__(self) -> str:
         if self.is_zero():
             return "(0)"
         return "(" + ", ".join(format_monomial(g) for g in self.gens) + ")"
-
-
-def minimalize(n: int, monomials: Iterable[Sequence[int]]) -> MonomialIdeal:
-    """The ideal generated by ``monomials``: drop every strictly divisible one.
-
-    A candidate is tested only against kept generators of strictly lower
-    degree.  That is enough: a proper divisor has lower degree, and two
-    distinct monomials of equal degree never divide each other, so an
-    equigenerated input (every bounded power of an edge ideal) makes no
-    divisibility test at all.  The empty input yields the zero ideal.
-    Output generators are sorted lexicographically on exponent entries.
-    A wrong-length or negative input raises ValueError even when it would
-    have been dropped.
-    """
-    ms = sorted(set(map(tuple, monomials)), key=degree)
-    kept: list[Monomial] = []
-    dropped: list[Monomial] = []
-    for _, same_degree in groupby(ms, key=degree):
-        lower = tuple(kept)
-        for u in same_degree:
-            divisible = any(all(a <= b for a, b in zip(v, u)) for v in lower)
-            (dropped if divisible else kept).append(u)
-    # every input is validated exactly once: the dropped ones here, the kept
-    # ones by the MonomialIdeal constructor
-    for u in dropped:
-        _check_monomial(n, u)
-    return MonomialIdeal(n, tuple(sorted(kept)))
 
 
 def format_monomial(u: Monomial) -> str:

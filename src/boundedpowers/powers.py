@@ -7,19 +7,15 @@ grow), so the full power is never materialized.
 
 The level loop runs on packed monomials (``monomials._Packing``).  Each
 exponent gets a field of ``w = max(c).bit_length() + 1`` bits whose top bit
-is a guard bit, with variable 1 in the most significant field, so numeric
-order is lexicographic order.  A product is one addition ``p + g``, and
-``q`` is c-bounded iff ``(q + offset) & guard`` is 0, where field k of
-``offset`` holds ``2^(w-1) - 1 - c_k``.  Levels are stored with ``offset``
-already added, which makes the bound test free, and with the degree in one
-more field above variable 1, which sorts a level by degree first.  Each level
-is minimalized in packed form by the rule ``minimalize`` uses, comparing only
-across degrees, and each kept generator is decoded to a tuple once.
+is a guard bit, with variable 1 in the most significant field.  A product is
+one addition ``p + g``, and ``q`` is c-bounded iff ``(q + offset) & guard`` is
+0, where field k of ``offset`` holds ``2^(w-1) - 1 - c_k``.  Levels are stored
+with ``offset`` already added, which makes the bound test free.  Each level is
+decoded to tuples once and handed to the ``MonomialIdeal`` constructor, which
+drops the products that are not minimal.
 """
 
 from __future__ import annotations
-
-from itertools import groupby
 
 from .graphs import Graph
 from .monomials import (
@@ -41,21 +37,11 @@ def _bounded_levels(ideal: MonomialIdeal, c: BoundVector, max_level: int) -> lis
     packing = _Packing(ideal.n, max(c))
     guard = packing.guard
     offset = guard - packing.ones - packing.pack(c)
-    degree_shift = ideal.n * packing.width
-    gens = [packing.pack(g) + (degree(g) << degree_shift)
-            for g in ideal.gens if is_bounded(g, c)]
+    gens = [packing.pack(g) for g in ideal.gens if is_bounded(g, c)]
     levels: list[MonomialIdeal] = []
     current = {offset + g for g in gens}
     while current and len(levels) < max_level:
-        kept: list[int] = []
-        for _, same_degree in groupby(sorted(current), key=lambda p: p >> degree_shift):
-            if kept:
-                lower = tuple(kept)
-                same_degree = [u for u in same_degree
-                               if not any(((u | guard) - v) & guard == guard for v in lower)]
-            kept.extend(same_degree)
-        level_gens = sorted(packing.unpack(u - offset) for u in kept)
-        levels.append(MonomialIdeal(ideal.n, tuple(level_gens)))
+        levels.append(MonomialIdeal(ideal.n, (packing.unpack(u - offset) for u in current)))
         current = {q for p in current for g in gens if not (q := p + g) & guard}
     return levels
 

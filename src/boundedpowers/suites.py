@@ -41,7 +41,7 @@ from .linquot import (
     has_colon_splitting_order,
     restrict_lq_ordering,
 )
-from .monomials import MonomialIdeal, minimalize
+from .monomials import MonomialIdeal
 from .polymatroid import is_matroidal, is_polymatroidal
 from .powers import bounded_power_chain
 
@@ -210,7 +210,7 @@ def _random_ideal(rng: random.Random, cfg: SuiteConfig) -> MonomialIdeal:
             if any(g):
                 break
         gens.append(g)
-    return minimalize(n, gens)
+    return MonomialIdeal(n, gens)
 
 
 def _ideal_instances(cfg: SuiteConfig) -> list[dict]:
@@ -381,7 +381,7 @@ def _open_lq_ideal(payload: dict, cfg: SuiteConfig):
     ideal-corpus payload and a linear-quotients ordering of the ideal.  When
     the search refuses or finds none, ``skipped`` is the one skip record that
     stands for the whole instance; otherwise it is empty."""
-    ideal = MonomialIdeal(payload["ideal"]["n"], tuple(map(tuple, payload["ideal"]["gens"])))
+    ideal = MonomialIdeal(payload["ideal"]["n"], payload["ideal"]["gens"])
     key = f"ideal{payload['index']:05d}"
     try:
         ordering = find_lq_ordering(ideal, cfg.max_generators)
@@ -427,7 +427,7 @@ def _eval_istanbul(payload: dict, cfg: SuiteConfig) -> list[dict]:
 
 
 def _eval_remark45(payload: dict, cfg: SuiteConfig) -> list[dict]:
-    ideal = minimalize(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
+    ideal = MonomialIdeal(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
     c = (1,) * 5
     top = len(bounded_power_chain(ideal, c))
     ordering = find_lq_ordering(ideal)

@@ -10,6 +10,7 @@ from itertools import combinations
 
 from boundedpowers import (
     Graph,
+    MonomialIdeal,
     SuiteConfig,
     betti_table,
     betti_table_hochster,
@@ -18,7 +19,6 @@ from boundedpowers import (
     delta_bmatching,
     enumerate_labeled_graphs,
     find_lq_ordering,
-    minimalize,
     polarize,
     regularity,
     run_suite,
@@ -64,7 +64,7 @@ def test_criterion_01_delta_consistency():
 def test_criterion_02_all_powers_lq_iff_chordal_complement():
     started = time.perf_counter()
     ones = run_suite(SuiteConfig(suite="edge-lq", nmax=5, c_policy="ones"))
-    twos = run_suite(SuiteConfig(suite="edge-lq", nmax=4, c_policy="constant", c_value=2))
+    twos = run_suite(SuiteConfig(suite="edge-lq", nmax=5, c_policy="constant", c_value=2))
     report(2, "bounded powers LQ iff chordal complement",
            suite_ok(ones) and suite_ok(twos), started,
            f"{ones.summary['total']}+{twos.summary['total']} instances")
@@ -73,7 +73,7 @@ def test_criterion_02_all_powers_lq_iff_chordal_complement():
 def test_criterion_03_top_power_polymatroidal():
     started = time.perf_counter()
     ones = run_suite(SuiteConfig(suite="essen", nmax=5, c_policy="ones"))
-    twos = run_suite(SuiteConfig(suite="essen", nmax=4, c_policy="constant", c_value=2))
+    twos = run_suite(SuiteConfig(suite="essen", nmax=5, c_policy="constant", c_value=2))
     report(3, "top bounded power polymatroidal (matroidal at ones)",
            suite_ok(ones) and suite_ok(twos), started,
            f"skips {ones.summary['skip']}+{twos.summary['skip']} (delta=0)")
@@ -93,9 +93,9 @@ def test_criterion_05_colon_quadrics_and_degree_two():
     started = time.perf_counter()
     results = [
         run_suite(SuiteConfig(suite="banerjee-colon", nmax=5, c_policy="ones")),
-        run_suite(SuiteConfig(suite="banerjee-colon", nmax=4, c_policy="constant", c_value=2)),
+        run_suite(SuiteConfig(suite="banerjee-colon", nmax=5, c_policy="constant", c_value=2)),
         run_suite(SuiteConfig(suite="deg2", nmax=5, c_policy="ones")),
-        run_suite(SuiteConfig(suite="deg2", nmax=4, c_policy="constant", c_value=2)),
+        run_suite(SuiteConfig(suite="deg2", nmax=5, c_policy="constant", c_value=2)),
     ]
     report(5, "colon ideals quadratic and described by even-connections",
            all(suite_ok(r) for r in results), started,
@@ -105,7 +105,7 @@ def test_criterion_05_colon_quadrics_and_degree_two():
 def test_criterion_06_splitting_labels_exist():
     started = time.perf_counter()
     ones = run_suite(SuiteConfig(suite="rfirst", nmax=5, c_policy="ones", max_generators=10))
-    twos = run_suite(SuiteConfig(suite="rfirst", nmax=4, c_policy="constant", c_value=2,
+    twos = run_suite(SuiteConfig(suite="rfirst", nmax=5, c_policy="constant", c_value=2,
                                  max_generators=10))
     skips = ones.summary["skip"] + twos.summary["skip"]
     report(6, "colon-splitting labeling exists (cap refusals skipped)",
@@ -116,8 +116,8 @@ def test_criterion_07_regularity_bound_and_top_equality():
     started = time.perf_counter()
     results = []
     for suite in ("regmain", "linres-top"):
-        results.append(run_suite(SuiteConfig(suite=suite, nmax=4, c_policy="ones")))
-        results.append(run_suite(SuiteConfig(suite=suite, nmax=4, c_policy="constant", c_value=2)))
+        results.append(run_suite(SuiteConfig(suite=suite, nmax=5, c_policy="ones")))
+        results.append(run_suite(SuiteConfig(suite=suite, nmax=5, c_policy="constant", c_value=2)))
         results.append(run_suite(SuiteConfig(
             suite=suite, random_count=100, random_nmax=5, c_policy="random", c_value=2,
             seed=79)))
@@ -130,8 +130,8 @@ def test_criterion_08_colon_regularity_bounds():
     started = time.perf_counter()
     results = []
     for suite in ("colon-reg", "regcol"):
-        results.append(run_suite(SuiteConfig(suite=suite, nmax=4, c_policy="ones")))
-        results.append(run_suite(SuiteConfig(suite=suite, nmax=4, c_policy="constant", c_value=2)))
+        results.append(run_suite(SuiteConfig(suite=suite, nmax=5, c_policy="ones")))
+        results.append(run_suite(SuiteConfig(suite=suite, nmax=5, c_policy="constant", c_value=2)))
         results.append(run_suite(SuiteConfig(
             suite=suite, random_count=100, random_nmax=5, c_policy="random", c_value=2,
             seed=80)))
@@ -143,7 +143,7 @@ def test_criterion_08_colon_regularity_bounds():
 def test_criterion_09_fixed_counterexample():
     started = time.perf_counter()
     result = run_suite(SuiteConfig(suite="remark45"))
-    ideal = minimalize(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
+    ideal = MonomialIdeal(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
     direct = delta(ideal, (1,) * 5) == 1 and find_lq_ordering(ideal) is None
     report(9, "fixed two-generator ideal: delta 1, no linear quotients",
            suite_ok(result) and result.summary["pass"] == 1 and direct, started)
@@ -160,7 +160,7 @@ def test_criterion_10_betti_oracle_cross_validation():
             g = tuple(rng.randint(0, 2) for _ in range(n))
             if any(g):
                 gens.append(g)
-        ideal = minimalize(n, gens or [(1,) + (0,) * (n - 1)])
+        ideal = MonomialIdeal(n, gens or [(1,) + (0,) * (n - 1)])
         reference = betti_table(ideal)
         polarized, _ = polarize(ideal)
         if betti_table_taylor(ideal) != reference:

@@ -339,6 +339,29 @@ class TestErrorHandling:
         code, _, err = run(capsys, command, stdin=text, monkeypatch=monkeypatch)
         assert code == 2 and "must look like" in err
 
+    GRAPH_COMMANDS = [
+        ["graph", "complement"],
+        ["delta", "--c", "1,1,1"],
+        ["colon-quadrics", "--s", "1", "--c", "1,1,1", "--u", "1,1,0"],
+    ]
+
+    @pytest.mark.parametrize("command", GRAPH_COMMANDS)
+    def test_non_ascii_graph6(self, capsys, monkeypatch, command):
+        code, out, err = run(capsys, command, stdin="Bé\n", monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "outside graph6 range" in err and "byte offset 1" in err
+
+    @pytest.mark.parametrize("command", GRAPH_COMMANDS)
+    def test_second_graph6_line(self, capsys, monkeypatch, command):
+        code, out, err = run(capsys, command, stdin="A_\n\nBw\n", monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "expected one graph6 line, got 2 non-empty lines" in err
+
+    def test_blank_lines_around_one_graph6_line(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, ["graph", "complement"], stdin="\nA_\n\n  \n",
+                           monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out) == {"n": 2, "edges": []}
+
 
 class TestStartup:
     def test_import_leaves_the_process_pool_out(self):

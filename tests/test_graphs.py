@@ -177,6 +177,13 @@ class TestGraph6:
             parse_graph6("B\x07")
         assert err.value.offset == 1
 
+    @pytest.mark.parametrize("line, offset", [("Bé", 1), (">>graph6<<A\u00ff", 11), ("C~\u0100", 2)])
+    def test_non_ascii_is_refused_at_its_offset(self, line, offset):
+        # a non-ASCII character must not be decoded as the zero byte '?'
+        with pytest.raises(Graph6Error, match="outside graph6 range") as err:
+            parse_graph6(line)
+        assert err.value.offset == offset
+
     def test_nonzero_padding_rejected(self):
         # n=2 uses only the first payload bit; 'O' = 63+16 sets a padding bit
         with pytest.raises(Graph6Error):

@@ -16,6 +16,7 @@ import pytest
 
 from boundedpowers import (
     BettiTable,
+    MonomialIdeal,
     SimplicialComplex,
     betti_table,
     betti_table_hochster,
@@ -24,7 +25,6 @@ from boundedpowers import (
     cycle_graph,
     degree,
     has_linear_resolution,
-    minimalize,
     path_graph,
     polarize,
     rank_of_rows,
@@ -112,7 +112,7 @@ def random_ideal(rng, nmax=5, max_gens=5, max_exp=2):
         g = tuple(rng.randint(0, max_exp) for _ in range(n))
         if any(g):
             gens.append(g)
-    return minimalize(n, gens or [(1,) + (0,) * (n - 1)])
+    return MonomialIdeal(n, gens or [(1,) + (0,) * (n - 1)])
 
 
 def lattice_points(ideal):
@@ -127,16 +127,16 @@ def boundary_ideals():
     has a principal ideal and a two-generator one in two variables, whose
     polarizations stay narrow, and five random ones."""
     rng = random.Random(127)
-    ideals = [minimalize(3, [(0, 0, 0)])]
+    ideals = [MonomialIdeal(3, [(0, 0, 0)])]
     for top in (1, 3, 4, 7, 8, 15, 16):
-        ideals.append(minimalize(2, [(top, 1)]))
-        ideals.append(minimalize(2, [(top, 0), (top - 1, 1)]))
+        ideals.append(MonomialIdeal(2, [(top, 1)]))
+        ideals.append(MonomialIdeal(2, [(top, 0), (top - 1, 1)]))
         found = 0
         while found < 5:
             n = rng.randint(1, 4)
             gens = [tuple(rng.choice((0, 1, top - 1, top, rng.randint(0, top))) for _ in range(n))
                     for _ in range(rng.randint(2, 5))]
-            ideal = minimalize(n, gens)
+            ideal = MonomialIdeal(n, gens)
             if max(max(g) for g in ideal.gens) == top and not ideal.is_unit():
                 ideals.append(ideal)
                 found += 1
@@ -226,7 +226,7 @@ class TestRankOfRows:
                 rank_of_rows([{0: 1}], char)
             # a principal ideal needs no rank call, so betti_table checks too
             with pytest.raises(ValueError, match="0 or a prime"):
-                betti_table(minimalize(2, [(1, 1)]), char)
+                betti_table(MonomialIdeal(2, [(1, 1)]), char)
 
     def test_check_characteristic(self):
         valid = []
@@ -256,7 +256,7 @@ class TestRankOfRows:
 
 class TestPolarize:
     def test_single_generator(self):
-        ideal = minimalize(2, [(2, 1)])
+        ideal = MonomialIdeal(2, [(2, 1)])
         polarized, pmap = polarize(ideal)
         assert polarized.gens == ((1, 1, 1),)
         assert pmap.source_n == 2 and pmap.multiplicities == (2, 1)
@@ -268,7 +268,7 @@ class TestPolarize:
         assert polarized == ideal
 
     def test_two_generators(self):
-        polarized, _ = polarize(minimalize(2, [(2, 0), (1, 1)]))
+        polarized, _ = polarize(MonomialIdeal(2, [(2, 0), (1, 1)]))
         assert polarized.gens == ((1, 0, 1), (1, 1, 0))
 
     def test_generator_count_preserved(self):
@@ -279,22 +279,22 @@ class TestPolarize:
 
     def test_degenerate_inputs(self):
         with pytest.raises(ValueError):
-            polarize(minimalize(2, []))
+            polarize(MonomialIdeal(2, []))
         with pytest.raises(ValueError):
-            polarize(minimalize(2, [(0, 0)]))
+            polarize(MonomialIdeal(2, [(0, 0)]))
 
 
 class TestUpperKoszul:
     def test_generator_multidegree(self):
-        ideal = minimalize(2, [(1, 1)])
+        ideal = MonomialIdeal(2, [(1, 1)])
         assert koszul_faces(ideal, (1, 1)) == [()]
 
     def test_koszul_relation(self):
-        ideal = minimalize(2, [(1, 0), (0, 1)])
+        ideal = MonomialIdeal(2, [(1, 0), (0, 1)])
         assert koszul_faces(ideal, (1, 1)) == [(), (1,), (2,)]
 
     def test_non_member_is_void(self):
-        assert koszul_faces(minimalize(2, [(1, 1)]), (1, 0)) == []
+        assert koszul_faces(MonomialIdeal(2, [(1, 1)]), (1, 0)) == []
 
     def test_matches_definition_on_lcm_lattice(self):
         # faces: every sigma in supp(m) with m - e_sigma in the ideal
@@ -317,13 +317,13 @@ class TestUpperKoszul:
 
 class TestBettiTable:
     def test_principal(self):
-        table = betti_table(minimalize(3, [(1, 2, 0)]))
+        table = betti_table(MonomialIdeal(3, [(1, 2, 0)]))
         assert table.entries == ((0, 3, 1),)
-        assert regularity(minimalize(3, [(1, 2, 0)])) == 3
+        assert regularity(MonomialIdeal(3, [(1, 2, 0)])) == 3
 
     def test_koszul_complex(self):
         for n in (2, 3, 4):
-            ideal = minimalize(n, [tuple(int(k == i) for k in range(n)) for i in range(n)])
+            ideal = MonomialIdeal(n, [tuple(int(k == i) for k in range(n)) for i in range(n)])
             table = betti_table(ideal)
             assert {(i, j): b for i, j, b in table.entries} == {
                 (i, i + 1): comb(n, i + 1) for i in range(n)
@@ -347,7 +347,7 @@ class TestBettiTable:
 
     def test_zero_ideal_rejected(self):
         with pytest.raises(ValueError):
-            betti_table(minimalize(2, []))
+            betti_table(MonomialIdeal(2, []))
 
     def test_builds_no_tuple_complex(self, monkeypatch):
         # the production path works on face masks; SimplicialComplex serves
@@ -387,7 +387,7 @@ class TestVertexStar:
     by every facet, so these tests aim at them."""
 
     # x2^2 x3, x1 x2 x3, x1^2
-    CONE = minimalize(3, [(0, 2, 1), (1, 1, 1), (2, 0, 0)])
+    CONE = MonomialIdeal(3, [(0, 2, 1), (1, 1, 1), (2, 0, 0)])
 
     @pytest.mark.parametrize("char", [0, 2, 3])
     def test_hidden_cone_matches_taylor(self, char):
@@ -419,7 +419,7 @@ class TestRegularity:
         assert has_linear_resolution(path_graph(4).edge_ideal())
         assert not has_linear_resolution(cycle_graph(5).edge_ideal())
         with pytest.raises(ValueError):
-            has_linear_resolution(minimalize(2, [(1, 0), (0, 2)]))
+            has_linear_resolution(MonomialIdeal(2, [(1, 0), (0, 2)]))
 
     def test_characteristic_dependence(self):
         face_set = set(
@@ -432,7 +432,7 @@ class TestRegularity:
             if sub not in face_set
             and all(sub[:k] + sub[k + 1 :] in face_set for k in range(size))
         ]
-        ideal = minimalize(6, nonfaces)
+        ideal = MonomialIdeal(6, nonfaces)
         assert len(ideal.gens) == 10
         assert regularity(ideal, 0) == 3
         assert has_linear_resolution(ideal, 0)
@@ -482,12 +482,12 @@ class TestOracleAgreement:
 
     def test_hochster_requires_squarefree(self):
         with pytest.raises(ValueError):
-            betti_table_hochster(minimalize(2, [(2, 0)]))
+            betti_table_hochster(MonomialIdeal(2, [(2, 0)]))
 
     def test_taylor_cap(self):
         gens = [tuple(1 if k in pair else 0 for k in range(6)) for pair in combinations(range(6), 2)]
         with pytest.raises(ValueError):
-            betti_table_taylor(minimalize(6, gens))
+            betti_table_taylor(MonomialIdeal(6, gens))
 
 
 class TestLcmLattice:

@@ -8,6 +8,7 @@ import pytest
 
 from boundedpowers import (
     LQOrdering,
+    MonomialIdeal,
     SearchCapExceeded,
     all_bounded_powers_lq,
     bounded_power_chain,
@@ -18,14 +19,13 @@ from boundedpowers import (
     enumerate_labeled_graphs,
     find_lq_ordering,
     is_lq_ordering,
-    minimalize,
     path_graph,
     restrict_lq_ordering,
 )
 from boundedpowers.linquot import _lq_pair_data, search_ordering
 from boundedpowers.monomials import _Packing
 
-REMARK_IDEAL = minimalize(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
+REMARK_IDEAL = MonomialIdeal(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
 
 
 def brute_force_has_lq(ideal) -> bool:
@@ -44,13 +44,13 @@ def random_ideal(rng, nmax=4, max_gens=5, max_exp=2):
         g = tuple(rng.randint(0, max_exp) for _ in range(n))
         if any(g):
             gens.append(g)
-    return minimalize(n, gens or [(1,) + (0,) * (n - 1)])
+    return MonomialIdeal(n, gens or [(1,) + (0,) * (n - 1)])
 
 
 class TestIsLQOrdering:
     def test_single_generator_vacuous(self):
-        assert is_lq_ordering(minimalize(2, [(1, 1)]), (0,))
-        assert is_lq_ordering(minimalize(2, []), ())
+        assert is_lq_ordering(MonomialIdeal(2, [(1, 1)]), (0,))
+        assert is_lq_ordering(MonomialIdeal(2, []), ())
 
     def test_path_both_orders(self):
         ideal = path_graph(3).edge_ideal()
@@ -71,7 +71,7 @@ class TestIsLQOrdering:
     def test_order_sensitivity(self):
         # gens sort to (x2^2, x1x2, x1^2); starting x1^2, x2^2 leaves a
         # degree-2 prefix colon with no variable to cover it
-        ideal = minimalize(2, [(2, 0), (1, 1), (0, 2)])
+        ideal = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
         assert is_lq_ordering(ideal, (0, 1, 2))
         assert not is_lq_ordering(ideal, (2, 0, 1))
 
@@ -81,11 +81,11 @@ class TestFindLQOrdering:
         assert find_lq_ordering(REMARK_IDEAL) is None
 
     def test_principal(self):
-        ordering = find_lq_ordering(minimalize(3, [(1, 2, 0)]))
+        ordering = find_lq_ordering(MonomialIdeal(3, [(1, 2, 0)]))
         assert ordering is not None and ordering.order == (0,) and ordering.valid
 
     def test_zero_ideal(self):
-        ordering = find_lq_ordering(minimalize(2, []))
+        ordering = find_lq_ordering(MonomialIdeal(2, []))
         assert ordering is not None and ordering.order == ()
 
     def test_chordal_complement_edge_ideals_found(self):
@@ -107,7 +107,7 @@ class TestFindLQOrdering:
 
     def test_cap_refusal(self):
         gens = [tuple(1 if k in pair else 0 for k in range(6)) for pair in combinations(range(6), 2)]
-        big = minimalize(6, gens)
+        big = MonomialIdeal(6, gens)
         with pytest.raises(SearchCapExceeded) as exc:
             find_lq_ordering(big, max_generators=5)
         assert str(exc.value) == "linear quotients search refused: 15 generators > cap 5"
@@ -115,6 +115,17 @@ class TestFindLQOrdering:
     def test_deterministic_tie_break(self):
         ideal = path_graph(3).edge_ideal()
         assert find_lq_ordering(ideal).order == (0, 1)
+
+    @pytest.mark.parametrize("gens", [
+        [(1, 0), (1, 1)],  # x1 divides x1*x2
+        [(0, 1, 1), (1, 1, 0), (0, 1, 1)],  # unsorted, with a duplicate
+        [(1, 1, 1), (1, 1, 0), (0, 1, 1), (1, 1, 0)],  # all three at once
+    ])
+    def test_order_is_valid_on_raw_generators(self, gens):
+        ideal = MonomialIdeal(len(gens[0]), gens)
+        ordering = find_lq_ordering(ideal)
+        assert ordering is not None and ordering.valid
+        assert is_lq_ordering(ideal, ordering.order)
 
 
 class TestRestrictOrdering:
@@ -127,7 +138,7 @@ class TestRestrictOrdering:
         assert induced.valid
 
     def test_single_survivor(self):
-        ideal = minimalize(2, [(2, 0), (1, 1), (0, 2)])
+        ideal = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
         ordering = LQOrdering(ideal, (0, 1, 2), valid=is_lq_ordering(ideal, (0, 1, 2)))
         induced = restrict_lq_ordering(ideal, ordering, (1, 1))
         assert induced.ideal.gens == ((1, 1),)
@@ -135,7 +146,7 @@ class TestRestrictOrdering:
         assert induced.valid
 
     def test_invalid_input_rejected(self):
-        ideal = minimalize(2, [(2, 0), (1, 1), (0, 2)])
+        ideal = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
         bad = LQOrdering(ideal, (2, 0, 1), valid=False)
         with pytest.raises(ValueError):
             restrict_lq_ordering(ideal, bad, (1, 1))

@@ -11,16 +11,15 @@ from boundedpowers import (
     colon_mono,
     divides,
     is_bounded,
-    minimalize,
 )
 
 
 def ideal(n, *gens):
-    return minimalize(n, gens)
+    return MonomialIdeal(n, gens)
 
 
 small_ideals = st.builds(
-    lambda n, gens: minimalize(n, [tuple(g[:n]) for g in gens]),
+    lambda n, gens: MonomialIdeal(n, [tuple(g[:n]) for g in gens]),
     st.integers(min_value=1, max_value=4),
     st.lists(st.tuples(*[st.integers(0, 2)] * 4), min_size=0, max_size=5),
 )
@@ -53,8 +52,15 @@ class TestMinimalize:
     def test_drops_multiples(self):
         assert ideal(2, (1, 0), (1, 1)).gens == ((1, 0),)
 
+    def test_constructor_drops_duplicates_and_multiples(self):
+        assert MonomialIdeal(2, [(1, 1), (1, 0), (1, 0)]).gens == ((1, 0),)
+
+    def test_constructor_takes_any_iterable(self):
+        gens = (list(g) for g in [(0, 2), (2, 0), (1, 2)])
+        assert MonomialIdeal(2, gens).gens == ((0, 2), (2, 0))
+
     def test_empty_is_zero_ideal(self):
-        assert minimalize(2, []).is_zero()
+        assert MonomialIdeal(2, []).is_zero()
 
     def test_keeps_incomparable(self):
         result = ideal(3, (1, 1, 0), (0, 1, 1), (1, 1, 1))
@@ -62,7 +68,7 @@ class TestMinimalize:
 
     def test_idempotent(self):
         first = ideal(3, (1, 1, 0), (0, 1, 1), (1, 1, 1), (2, 1, 0))
-        assert minimalize(3, first.gens) == first
+        assert MonomialIdeal(3, first.gens) == first
 
     def test_canonical_sorting(self):
         a = ideal(2, (0, 2), (1, 1))
@@ -80,7 +86,7 @@ class TestMinimalize:
             expected = sorted(
                 u for u in distinct if not any(v != u and divides(v, u) for v in distinct)
             )
-            assert minimalize(n, monomials).gens == tuple(expected)
+            assert MonomialIdeal(n, monomials).gens == tuple(expected)
 
 
 class TestIdealOps:
@@ -88,7 +94,7 @@ class TestIdealOps:
         assert ideal(2, (1, 1)).power(2).gens == ((2, 2),)
 
     def test_power_zero_ideal(self):
-        assert minimalize(2, []).power(3).is_zero()
+        assert MonomialIdeal(2, []).power(3).is_zero()
 
     def test_power_veronese(self):
         v = ideal(2, (1, 0), (0, 1)).power(2)
@@ -125,7 +131,7 @@ class TestIdealOps:
     def test_membership(self):
         i = ideal(2, (1, 1))
         assert i.contains((2, 1))
-        assert not minimalize(2, []).contains((0, 0))
+        assert not MonomialIdeal(2, []).contains((0, 0))
         assert not ideal(3, (1, 1, 0), (0, 1, 1)).contains((1, 0, 1))
 
     def test_ambient_mismatch(self):
@@ -153,7 +159,7 @@ class TestIdealOps:
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            minimalize(2, [(-1, 0)])
+            MonomialIdeal(2, [(-1, 0)])
 
     @pytest.mark.parametrize("monomials, message", [
         ([(1, 0), (2, 1, 0)], "ambient mismatch"),  # x1 divides the long one
@@ -163,15 +169,15 @@ class TestIdealOps:
     ])
     def test_invalid_input_raises_kept_or_dropped(self, monomials, message):
         with pytest.raises(ValueError, match=message):
-            minimalize(2, monomials)
+            MonomialIdeal(2, monomials)
 
     def test_unit_ideal_edge_cases(self):
-        one = minimalize(2, [(0, 0), (1, 1)])
+        one = MonomialIdeal(2, [(0, 0), (1, 1)])
         assert one.is_unit()
         assert one.power(3) == one
         assert one.colon((2, 5)) == one
         assert one.restrict((0, 0)) == one
-        assert minimalize(2, []).colon((1, 0)).is_zero()
+        assert MonomialIdeal(2, []).colon((1, 0)).is_zero()
 
 
 class TestRestrictOracle:
@@ -191,7 +197,7 @@ class TestRestrictOracle:
             for u in product(*[range(x + 1) for x in c])
             if i.contains(u)
         ]
-        assert i.restrict(c) == minimalize(i.n, members)
+        assert i.restrict(c) == MonomialIdeal(i.n, members)
 
     @settings(max_examples=60, deadline=None)
     @given(small_ideals, small_bounds, small_bounds)

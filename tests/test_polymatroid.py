@@ -7,6 +7,7 @@ import pytest
 
 from boundedpowers import (
     Graph,
+    MonomialIdeal,
     bounded_power,
     bounded_power_chain,
     complete_graph,
@@ -18,12 +19,11 @@ from boundedpowers import (
     is_equigenerated,
     is_matroidal,
     is_polymatroidal,
-    minimalize,
     squarefree_power,
 )
 from conftest import matching_number
 
-REMARK_IDEAL = minimalize(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
+REMARK_IDEAL = MonomialIdeal(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
 TRIANGLE = complete_graph(3).edge_ideal()
 
 
@@ -32,10 +32,10 @@ class TestEquigenerated:
         assert is_equigenerated(TRIANGLE)
 
     def test_mixed_degrees(self):
-        assert not is_equigenerated(minimalize(3, [(1, 0, 0), (0, 1, 1)]))
+        assert not is_equigenerated(MonomialIdeal(3, [(1, 0, 0), (0, 1, 1)]))
 
     def test_zero_ideal_convention(self):
-        assert is_equigenerated(minimalize(2, []))
+        assert is_equigenerated(MonomialIdeal(2, []))
 
 
 class TestExchangeWitness:
@@ -64,18 +64,18 @@ class TestIsPolymatroidal:
         assert not is_polymatroidal(REMARK_IDEAL)
 
     def test_principal_equigenerated(self):
-        assert is_polymatroidal(minimalize(3, [(2, 1, 0)]))
+        assert is_polymatroidal(MonomialIdeal(3, [(2, 1, 0)]))
 
     def test_zero_ideal(self):
-        assert is_polymatroidal(minimalize(2, []))
+        assert is_polymatroidal(MonomialIdeal(2, []))
 
     def test_veronese_square(self):
-        ideal = minimalize(2, [(2, 0), (1, 1), (0, 2)])
+        ideal = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
         assert is_polymatroidal(ideal)
         assert not is_matroidal(ideal)
 
     def test_not_equigenerated_fails(self):
-        assert not is_polymatroidal(minimalize(2, [(1, 0), (0, 2)]))
+        assert not is_polymatroidal(MonomialIdeal(2, [(1, 0), (0, 2)]))
 
     def test_agrees_with_exchange_witness(self):
         # random equigenerated ideals: the exchange condition read off
@@ -86,7 +86,7 @@ class TestIsPolymatroidal:
             n, d = rng.randint(2, 4), rng.randint(1, 3)
             pool = list(combinations_with_replacement(range(n), d))
             picked = rng.sample(pool, rng.randint(1, min(6, len(pool))))
-            ideal = minimalize(n, [tuple(g.count(k) for k in range(n)) for g in picked])
+            ideal = MonomialIdeal(n, [tuple(g.count(k) for k in range(n)) for g in picked])
             gens = ideal.gens
             expected = all(
                 exchange_witness(ideal, a, b, i) is not None
@@ -100,7 +100,7 @@ class TestIsPolymatroidal:
 
 class TestIsMatroidal:
     def test_zero_ideal(self):
-        assert is_matroidal(minimalize(2, []))
+        assert is_matroidal(MonomialIdeal(2, []))
 
     def test_top_squarefree_power_is_matroidal(self):
         for n in range(2, 6):
