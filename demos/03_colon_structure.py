@@ -28,18 +28,16 @@ print("\ncolon of the top power by x2x3, computed directly:  ",
 print("assembled from quadrics via even-connections:", colon_quadrics(P4, 1, c, u))
 
 # The witness walk behind the quadric x1*x4: its interior pair is the edge
-# (2,3), exactly the factorization of u.
+# (2,3), exactly the factorization of u, held as {edge: multiplicity}.
 print("\nfactorization of u:", edge_factorization(P4, 1, u))
-conn = find_even_connection(P4, [(2, 3)], 1, 4)
-print("even-connection between 1 and 4:", conn.path,
-      "(interior pair -> edge copy", conn.assignment, ")")
+print("even-connection between 1 and 4:", find_even_connection(P4, [(2, 3)], 1, 4))
 print("every vertex even-connected to 1:", sorted(even_connected_targets(P4, [(2, 3)], 1)))
 
 # Self-connections produce squares: in the triangle, the walk 1,2,3,1 shows
 # x1^2 lands in the colon once the bound has room for it.
 K3 = complete_graph(3)
 loop = find_even_connection(K3, [(2, 3)], 1, 1)
-print("\ntriangle self-connection at vertex 1:", loop.path)
+print("\ntriangle self-connection at vertex 1:", loop)
 chain3 = bounded_power_chain(K3.edge_ideal(), (2, 1, 1))
 print("I(K3) bounded powers at c=(2,1,1):", [str(p) for p in chain3])
 print("colon of the second power by x2x3:", chain3[1].colon((0, 1, 1)),

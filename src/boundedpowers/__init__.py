@@ -7,7 +7,6 @@ theorem-verification suites over exhaustive and randomized graph corpora.
 """
 
 from .connections import (
-    EvenConnection,
     colon_generated_in_degree_two,
     colon_quadrics,
     edge_factorization,

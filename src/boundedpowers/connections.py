@@ -8,19 +8,23 @@ r >= 1, all of whose steps are edges of the graph, whose r interior odd pairs
 most its multiplicity.  These pairs, together with actual edges, generate the
 colon of the next bounded power by a generator of the current one.
 
+An edge multiset is held as one sorted map {edge: multiplicity}, from
+``edge_factorization`` to the search, so its size is the number of distinct
+edges, whatever s is.  A walk is its vertex tuple: its interior pairs already
+name the edges it takes.
+
 The search allows each distinct edge at most two uses, whatever its
 multiplicity, and this is exact.  Suppose a walk takes one multiset edge twice
 in the same direction, at pairs k1 < k2.  Cutting the 2(k2 - k1) steps between
 the two takes leaves a valid walk: it is strictly shorter, has the same ends,
 keeps every parity and takes fewer copies.  So every shortest witness takes
 each edge at most once per direction, and the search space does not grow with
-the number of edges in the multiset.
+the multiplicities.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Edge, Graph, normalize_edge
@@ -34,64 +38,37 @@ from .monomials import (
 )
 
 
-@dataclass(frozen=True)
-class EvenConnection:
-    """A witness walk; ``assignment[k]`` is the index into the queried edge
-    multiset realizing the k-th interior odd pair."""
-
-    path: tuple[int, ...]
-    assignment: tuple[int, ...]
-
-    @property
-    def r(self) -> int:
-        return (len(self.path) - 2) // 2
-
-
 def is_valid_even_connection(
-    graph: Graph, edges: Sequence[Edge], a: int, b: int, conn: EvenConnection
+    graph: Graph, edges: Sequence[Edge], a: int, b: int, path: Sequence[int]
 ) -> bool:
-    """Check the four defining conditions of an even-connection witness."""
-    path = conn.path
-    if len(path) < 4 or len(path) % 2:
+    """Whether ``path`` is an even-connection walk from a to b: an even number
+    of at least four vertices, each step a graph edge, and interior pairs that
+    take each edge of the multiset ``edges`` at most its multiplicity."""
+    if len(path) < 4 or len(path) % 2 or path[0] != a or path[-1] != b:
         return False
-    r = conn.r
-    if path[0] != a or path[-1] != b or len(conn.assignment) != r:
+    if any(p == q or not graph.has_edge(p, q) for p, q in zip(path, path[1:])):
         return False
-    for p, q in zip(path, path[1:]):
-        if p == q or not graph.has_edge(p, q):
-            return False
-    used: dict[Edge, int] = {}
-    for k in range(r):
-        idx = conn.assignment[k]
-        if not 0 <= idx < len(edges):
-            return False
-        e = normalize_edge(*edges[idx])
-        if normalize_edge(path[2 * k + 1], path[2 * k + 2]) != e:
-            return False
-        used[e] = used.get(e, 0) + 1
-    supply = Counter(normalize_edge(*e) for e in edges)
-    return all(used[e] <= supply[e] for e in used)
+    used = Counter(normalize_edge(path[k], path[k + 1]) for k in range(1, len(path) - 1, 2))
+    return not used - Counter(normalize_edge(*e) for e in edges)
 
 
-def _edge_copies(graph: Graph, edges: Sequence[Edge]) -> dict[Edge, list[int]]:
-    """Each distinct edge of the multiset, in sorted order, with the indices of
-    its copies; raises ValueError on a pair that is not a graph edge."""
-    copies: dict[Edge, list[int]] = {}
-    for idx, e in enumerate(edges):
-        e = normalize_edge(*e)
+def _edge_counts(graph: Graph, edges: Sequence[Edge]) -> dict[Edge, int]:
+    """An edge sequence as its sorted multiplicity map; raises ValueError on a
+    pair that is not a graph edge."""
+    counts = Counter(normalize_edge(*e) for e in edges)
+    for e in counts:
         if e not in graph.edges:
-            raise ValueError(f"edge {e} is not an edge of the graph")
-        copies.setdefault(e, []).append(idx)
-    return {e: copies[e] for e in sorted(copies)}
+            raise ValueError(f"edge {e} is not one of the graph edges")
+    return dict(sorted(counts.items()))
 
 
-def _even_walks(graph: Graph, copies: dict[Edge, list[int]], a: int) -> dict[tuple, tuple | None]:
+def _even_walks(graph: Graph, counts: dict[Edge, int], a: int) -> dict[tuple, tuple | None]:
     """BFS from a over (vertex, uses left, parity) states; each distinct edge
     starts with min(multiplicity, 2) uses.  Returns the parent map, whose keys
     are in discovery order.  A state is accepting when its parity is 1 (odd
     walk position) and it has taken at least one multiset edge."""
-    distinct = tuple(copies)
-    start = (a, tuple(min(len(idx), 2) for idx in copies.values()), 0)
+    distinct = tuple(counts)
+    start = (a, tuple(min(m, 2) for m in counts.values()), 0)
     parents: dict[tuple, tuple | None] = {start: None}
     queue = deque([start])
     while queue:
@@ -126,12 +103,11 @@ def _check_vertex(graph: Graph, v: int) -> None:
 
 def find_even_connection(
     graph: Graph, edges: Sequence[Edge], a: int, b: int
-) -> EvenConnection | None:
-    """A shortest even-connection witness between a and b, or None."""
+) -> tuple[int, ...] | None:
+    """The vertices of a shortest even-connection walk from a to b, or None."""
     _check_vertex(graph, a)
     _check_vertex(graph, b)
-    copies = _edge_copies(graph, edges)
-    parents = _even_walks(graph, copies, a)
+    parents = _even_walks(graph, _edge_counts(graph, edges), a)
     full = next(iter(parents))[1]
     state = next((st for st in parents if st[0] == b and st[2] and st[1] != full), None)
     if state is None:
@@ -140,49 +116,48 @@ def find_even_connection(
     while state is not None:
         path.append(state[0])
         state = parents[state]
-    path.reverse()
-    unused = {e: iter(idx) for e, idx in copies.items()}
-    assignment = tuple(
-        next(unused[normalize_edge(path[k], path[k + 1])]) for k in range(1, len(path) - 1, 2)
-    )
-    return EvenConnection(tuple(path), assignment)
+    return tuple(reversed(path))
 
 
 def even_connected_targets(graph: Graph, edges: Sequence[Edge], a: int) -> set[int]:
     """All vertices even-connected to a with respect to the edge multiset."""
     _check_vertex(graph, a)
-    return _targets(_even_walks(graph, _edge_copies(graph, edges), a))
+    return _targets(_even_walks(graph, _edge_counts(graph, edges), a))
 
 
-def edge_factorization(graph: Graph, s: int, u: Monomial) -> tuple[Edge, ...] | None:
-    """The lexicographically smallest multiset of s edges with product u.
+def edge_factorization(graph: Graph, s: int, u: Monomial) -> dict[Edge, int] | None:
+    """The lexicographically smallest multiset of s edges with product u, as a
+    sorted map {edge: multiplicity}, or None.
 
-    Depth-first over edge indices in non-decreasing order, with an explicit
-    stack, so s is not bounded by the interpreter's recursion limit.
+    Depth-first over the sorted edges, with an explicit stack, trying the most
+    copies of each edge first; the first complete branch is therefore the
+    smallest multiset.  The depth is the number of edges, not s.
     """
+    u = _check_monomial(graph.n, u)
+    if sum(u) != 2 * s:
+        return None
     edges = graph.sorted_edges()
-    remaining = list(u)
-    chosen: list[int] = []
-    k = 0  # the next edge index to try at the current depth
+    remaining = [0, *u]  # 1-based
+    chosen: list[int] = []  # the multiplicity of each edge on the current branch
     while True:
-        if len(chosen) < s:
-            while k < len(edges) and not (remaining[edges[k][0] - 1] and remaining[edges[k][1] - 1]):
-                k += 1
-            if k < len(edges):
-                i, j = edges[k]
-                remaining[i - 1] -= 1
-                remaining[j - 1] -= 1
-                chosen.append(k)
-                continue
+        if len(chosen) < len(edges):
+            i, j = edges[len(chosen)]
+            m = min(remaining[i], remaining[j])  # most copies first
         elif not any(remaining):
-            return tuple(edges[t] for t in chosen)
-        if not chosen:
-            return None
-        k = chosen.pop()
-        i, j = edges[k]
-        remaining[i - 1] += 1
-        remaining[j - 1] += 1
-        k += 1
+            return {e: m for e, m in zip(edges, chosen) if m}
+        else:  # back up to the deepest edge that can take one copy fewer
+            m = -1
+            while m < 0 and chosen:
+                m = chosen.pop()
+                i, j = edges[len(chosen)]
+                remaining[i] += m
+                remaining[j] += m
+                m -= 1
+            if m < 0:
+                return None
+        remaining[i] -= m
+        remaining[j] -= m
+        chosen.append(m)
 
 
 def colon_quadrics(
@@ -196,31 +171,33 @@ def colon_quadrics(
 
     u must be a minimal generator of (I(G)^s)_c (so in particular s <= delta).
     That ideal is generated in the single degree 2s, where no generator divides
-    another, so u is one iff u <= c and u is a product of s graph edges.  It is
-    factored into a canonical multiset of s edges, unless an explicit witness
-    ``factorization`` of s graph edges is supplied (the result must not depend
-    on the chosen witness; passing different ones exercises that).  The output is
-    generated by the monomials x_i*x_j (i = j allowed) such that u*x_i*x_j
-    stays c-bounded and x_i, x_j are adjacent or even-connected with respect
-    to the factorization.  Agreement with the directly computed colon ideal is
-    the content of the corresponding verification suite; at s = delta both
-    sides are empty, so the description degenerates consistently.
+    another, so u is one iff u <= c and u is a product of s graph edges.  Its
+    edge multiset is ``edge_factorization(graph, s, u)``, unless an explicit
+    witness ``factorization``, a sequence of s graph edges, is supplied (the
+    result must not depend on the chosen witness; passing different ones
+    exercises that).  The output is generated by the monomials x_i*x_j (i = j
+    allowed) such that u*x_i*x_j stays c-bounded and x_i, x_j are adjacent or
+    even-connected with respect to that multiset.  Agreement with the directly
+    computed colon ideal is the content of the corresponding verification
+    suite; at s = delta both sides are empty, so the description degenerates
+    consistently.
     """
     c = _check_monomial(graph.n, c)
     u = _check_monomial(graph.n, u)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if factorization is None:
-        factorization = edge_factorization(graph, s, u)
+        counts = edge_factorization(graph, s, u)
     else:
-        factorization = tuple(normalize_edge(*e) for e in factorization)
-        degrees = Counter(v for e in factorization for v in e)
-        if (len(factorization) != s or not graph.edges.issuperset(factorization)
-                or any(degrees[v] != a for v, a in enumerate(u, 1))):
+        counts = _edge_counts(graph, factorization)
+        degrees = [0] * graph.n
+        for (i, j), m in counts.items():
+            degrees[i - 1] += m
+            degrees[j - 1] += m
+        if sum(counts.values()) != s or tuple(degrees) != u:
             raise ValueError("supplied factorization is not s graph edges multiplying to u")
-    if factorization is None or not is_bounded(u, c):
+    if counts is None or not is_bounded(u, c):
         raise ValueError("u is not a minimal generator of the s-th bounded power")
-    copies = _edge_copies(graph, factorization)
     quadrics = []
     for i in range(1, graph.n + 1):
         targets = None  # searched only once some pair (i, j) needs it
@@ -231,7 +208,7 @@ def colon_quadrics(
                 continue
             if i == j or not graph.has_edge(i, j):
                 if targets is None:
-                    targets = _targets(_even_walks(graph, copies, i))
+                    targets = _targets(_even_walks(graph, counts, i))
                 if j not in targets:
                     continue
             q = [0] * graph.n

@@ -23,11 +23,13 @@ _ENUMERATION_CAP = 9
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 input; ``offset`` is the 0-based byte position."""
+    """Malformed graph6 input; ``offset`` is the 0-based byte position in the
+    line.  An error in a corpus file also names its 1-based ``line``."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
+    def __init__(self, message: str, offset: int, line: int | None = None):
+        where = f"byte offset {offset}" if line is None else f"line {line}, byte offset {offset}"
+        super().__init__(f"{message} ({where})")
+        self.message, self.offset = message, offset
 
 
 def normalize_edge(i: int, j: int) -> Edge:
@@ -203,10 +205,19 @@ def parse_graph6(line: str) -> Graph:
 
 
 def read_graph6_file(path: str) -> Iterator[Graph]:
-    with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
+    """The graphs of a corpus file of graph6 lines; blank lines are skipped.
+
+    A byte above 127 decodes to one lone surrogate, so ``parse_graph6``
+    refuses it at its own offset, and every error names its line.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, 1):
             if line.strip():
-                yield parse_graph6(line)
+                try:
+                    graph = parse_graph6(line)
+                except Graph6Error as exc:
+                    raise Graph6Error(exc.message, exc.offset, number) from None
+                yield graph
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:

@@ -144,6 +144,8 @@ def _lq_pair_data(ideal: MonomialIdeal):
 
 
 def _check_cap(m: int, cap: int, search: str) -> None:
+    if cap < 1:
+        raise ValueError(f"max_generators must be >= 1, got {cap}")
     if m > cap:
         raise SearchCapExceeded(f"{search} search refused: {m} generators > cap {cap}")
 

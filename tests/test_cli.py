@@ -144,6 +144,14 @@ class TestOtherCommands:
         )
         assert code == 0 and json.loads(out)["gens"] == [[1, 0, 0, 1]]
 
+    def test_colon_quadrics_at_a_large_power(self, capsys, monkeypatch):
+        code, out, _ = run(
+            capsys, ["colon-quadrics", "--s", "1000000", "--c", "1000001,1000001",
+                     "--u", "1000000,1000000"],
+            stdin="A_\n", monkeypatch=monkeypatch,
+        )
+        assert code == 0 and json.loads(out)["gens"] == [[1, 1]]
+
 
 class TestVerify:
     def test_passing_suite_exit_zero(self, tmp_path, capsys):
@@ -220,6 +228,18 @@ class TestErrorHandling:
         src = write(tmp_path, "i.json", REMARK_IDEAL_JSON)
         code, _, err = run(capsys, ["lq", "find", "--max-gens", "1", "--in", src])
         assert code == 2 and "cap 1" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_lq_find_cap_below_one(self, capsys, monkeypatch, cap):
+        # the message verify gives for the same flag
+        for ideal in ('{"n": 2, "gens": []}', REMARK_IDEAL_JSON):
+            code, out, err = run(capsys, ["lq", "find", "--max-gens", cap],
+                                 stdin=ideal, monkeypatch=monkeypatch)
+            assert code == 2 and out == ""
+            assert f"max_generators must be >= 1, got {cap}" in err
+        code, _, err = run(capsys, ["verify", "--suite", "edge-lq", "--nmax", "2",
+                                    "--max-gens", cap])
+        assert code == 2 and f"max_generators must be >= 1, got {cap}" in err
 
     @pytest.mark.parametrize("char", ["1", "4", "-2"])
     def test_composite_characteristic(self, tmp_path, capsys, char):
@@ -356,6 +376,17 @@ class TestErrorHandling:
         code, out, err = run(capsys, command, stdin="A_\n\nBw\n", monkeypatch=monkeypatch)
         assert code == 2 and out == ""
         assert "expected one graph6 line, got 2 non-empty lines" in err
+
+    @pytest.mark.parametrize("bad, message", [
+        (b"A@", "nonzero padding bits (line 3, byte offset 1)"),
+        ("Bé".encode("utf-8"), "character '\\udcc3' outside graph6 range 63..126 "
+                               "(line 3, byte offset 1)"),
+    ])
+    def test_bad_corpus_line_is_named(self, tmp_path, capsys, bad, message):
+        corpus = tmp_path / "bad.g6"
+        corpus.write_bytes(b"A_\n\n" + bad + b"\nBw\n")
+        code, out, err = run(capsys, ["verify", "--suite", "deg2", "--graph6", str(corpus)])
+        assert code == 2 and out == "" and message in err
 
     def test_blank_lines_around_one_graph6_line(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["graph", "complement"], stdin="\nA_\n\n  \n",

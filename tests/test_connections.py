@@ -8,8 +8,8 @@ from itertools import combinations, combinations_with_replacement, permutations
 import pytest
 
 from boundedpowers import (
-    EvenConnection,
     Graph,
+    MonomialIdeal,
     SearchCapExceeded,
     bounded_power,
     bounded_power_chain,
@@ -26,7 +26,7 @@ from boundedpowers import (
     is_valid_even_connection,
     path_graph,
 )
-from boundedpowers.connections import _edge_copies, _even_walks
+from boundedpowers.connections import _edge_counts, _even_walks
 from boundedpowers.graphs import normalize_edge
 
 
@@ -43,9 +43,7 @@ def random_edge_multiset(rng, g, size):
 class TestFindEvenConnection:
     def test_path_endpoints(self):
         conn = find_even_connection(path_graph(4), [(2, 3)], 1, 4)
-        assert conn is not None
-        assert conn.path == (1, 2, 3, 4)
-        assert conn.r == 1
+        assert conn == (1, 2, 3, 4)
         assert is_valid_even_connection(path_graph(4), [(2, 3)], 1, 4, conn)
 
     def test_empty_multiset(self):
@@ -57,12 +55,12 @@ class TestFindEvenConnection:
     def test_self_connection(self):
         # 1,2,1,2: the interior pair is the queried edge itself
         conn = find_even_connection(complete_graph(2), [(1, 2)], 1, 2)
-        assert conn is not None and conn.path == (1, 2, 1, 2)
+        assert conn == (1, 2, 1, 2)
         # in K2 odd positions always sit at the other endpoint: no loop at 1
         assert find_even_connection(complete_graph(2), [(1, 2)], 1, 1) is None
         # the triangle walk 1,2,3,1 realizes x1^2 in the colon
         loop = find_even_connection(complete_graph(3), [(2, 3)], 1, 1)
-        assert loop is not None and loop.path == (1, 2, 3, 1)
+        assert loop == (1, 2, 3, 1)
         assert is_valid_even_connection(complete_graph(3), [(2, 3)], 1, 1, loop)
 
     def test_multiplicity_capacity(self):
@@ -72,6 +70,14 @@ class TestFindEvenConnection:
         assert find_even_connection(g, [(2, 3), (4, 5)], 1, 6) is not None
         assert find_even_connection(g, [(2, 3)], 1, 6) is None
         assert find_even_connection(g, [(2, 3), (2, 3)], 1, 6) is None
+
+    def test_witness_checker_counts_copies(self):
+        k2 = complete_graph(2)
+        walk = (1, 2, 1, 2, 1, 2)  # takes (1, 2) at both interior pairs
+        assert not is_valid_even_connection(k2, [(1, 2)], 1, 2, walk)
+        assert is_valid_even_connection(k2, [(2, 1), (1, 2)], 1, 2, walk)
+        assert not is_valid_even_connection(k2, [(1, 2)], 1, 2, (1, 2))
+        assert not is_valid_even_connection(path_graph(3), [(1, 2)], 1, 2, (1, 2, 1, 2, 3, 2))
 
     def test_unknown_vertex(self):
         with pytest.raises(ValueError):
@@ -154,7 +160,7 @@ class TestTwoUseCap:
                     assert (conn is None) == (b not in shortest)
                     if conn is not None:
                         assert is_valid_even_connection(g, edges, a, b, conn)
-                        assert len(conn.path) == shortest[b]
+                        assert len(conn) == shortest[b]
         assert heavy >= 30
 
     def test_edge_taken_in_both_directions(self):
@@ -162,12 +168,12 @@ class TestTwoUseCap:
         # triangle 3, 4, 5 flipping the parity in between: one use is not enough
         g = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
         conn = find_even_connection(g, [(2, 3)] * 3 + [(4, 5)], 1, 1)
-        assert conn == EvenConnection((1, 2, 3, 4, 5, 3, 2, 1), (0, 3, 1))
+        assert conn == (1, 2, 3, 4, 5, 3, 2, 1)
         assert find_even_connection(g, [(2, 3), (4, 5)], 1, 1) is None
 
     def test_states_do_not_grow_with_multiplicity(self):
         k2 = complete_graph(2)
-        two, many = (len(_even_walks(k2, _edge_copies(k2, [(1, 2)] * m), 1)) for m in (2, 1000))
+        two, many = (len(_even_walks(k2, _edge_counts(k2, [(1, 2)] * m), 1)) for m in (2, 1000))
         assert two == many
 
 
@@ -175,11 +181,11 @@ class TestEdgeFactorization:
     def test_lexicographically_smallest(self):
         g = cycle_graph(4)
         u = (1, 1, 1, 1)
-        assert edge_factorization(g, 2, u) == ((1, 2), (3, 4))
+        assert edge_factorization(g, 2, u) == {(1, 2): 1, (3, 4): 1}
 
     def test_repeated_edge(self):
         g = complete_graph(2)
-        assert edge_factorization(g, 2, (2, 2)) == ((1, 2), (1, 2))
+        assert edge_factorization(g, 2, (2, 2)) == {(1, 2): 2}
 
     def test_no_factorization(self):
         assert edge_factorization(path_graph(3), 1, (1, 0, 1)) is None
@@ -193,16 +199,23 @@ class TestEdgeFactorization:
             first = None
             for multiset in combinations_with_replacement(g.sorted_edges(), s):
                 if all(sum(v in e for e in multiset) == a for v, a in enumerate(u, 1)):
-                    first = multiset
+                    first = dict(Counter(multiset))
                     break
-            assert edge_factorization(g, s, u) == first
+            result = edge_factorization(g, s, u)
+            assert result == first
+            if result is not None:
+                assert list(result) == sorted(result)
+
+    def test_independent_of_s(self):
+        assert edge_factorization(complete_graph(2), 10**9, (10**9, 10**9)) == {(1, 2): 10**9}
+        # the degree sum must be 2s
+        assert edge_factorization(complete_graph(2), 10**9, (10**9, 10**9 + 2)) is None
 
     def test_deeper_than_the_recursion_limit(self):
         depth = sys.getrecursionlimit() + 100
-        assert edge_factorization(complete_graph(2), depth, (depth, depth)) == ((1, 2),) * depth
+        assert edge_factorization(complete_graph(2), depth, (depth, depth)) == {(1, 2): depth}
         u = (depth, 2 * depth, depth)
-        assert edge_factorization(path_graph(3), 2 * depth, u) == (
-            ((1, 2),) * depth + ((2, 3),) * depth)
+        assert edge_factorization(path_graph(3), 2 * depth, u) == {(1, 2): depth, (2, 3): depth}
         assert edge_factorization(path_graph(3), 2 * depth, (depth, 2 * depth, depth + 1)) is None
 
 
@@ -248,7 +261,12 @@ class TestColonQuadrics:
             s = rng.randint(1, len(chain) - 1)
             for u in chain[s - 1].gens:
                 assert colon_quadrics(g, s, c, u) == chain[s].colon(u)
-                heavy += max(Counter(edge_factorization(g, s, u)).values()) >= 3
+                heavy += max(edge_factorization(g, s, u).values()) >= 3
+
+    def test_independent_of_s(self):
+        s = 10**6
+        result = colon_quadrics(complete_graph(2), s, (s + 1,) * 2, (s,) * 2)
+        assert result == MonomialIdeal(2, [(1, 1)])
 
     def test_factorization_independence(self):
         g = cycle_graph(4)
