@@ -24,12 +24,13 @@ print("is (0,1,2) a linear quotients ordering?", is_lq_ordering(I, (0, 1, 2)))
 print("is (2,0,1)?", is_lq_ordering(I, (2, 0, 1)))
 
 ordering = find_lq_ordering(I)
-print("search finds:", ordering.order)
+print("search finds:", ordering)
 
 # The ordering survives restriction: keep the bounded generators in place.
+restricted = I.restrict((1, 1))
 induced = restrict_lq_ordering(I, ordering, (1, 1))
-print("restricted to c=(1,1):", induced.ideal, "order", induced.order,
-      "still linear quotients:", induced.valid)
+print("restricted to c=(1,1):", restricted, "order", induced,
+      "still linear quotients:", is_lq_ordering(restricted, induced))
 
 # The classical two-generator counterexample: no ordering exists at all.
 R = MonomialIdeal(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])

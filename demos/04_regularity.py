@@ -32,9 +32,8 @@ print("I(C5) regularity:", regularity(cycle_graph(5).edge_ideal()))
 # Polarization replaces x_i^k by k distinct variables without changing the
 # homological data.
 J = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
-polarized, pmap = polarize(J)
-print("\npolarization of (x1^2, x1x2, x2^2):", polarized,
-      "with multiplicities", pmap.multiplicities)
+polarized = polarize(J)
+print("\npolarization of (x1^2, x1x2, x2^2):", polarized)
 print("regularity preserved:", regularity(J), "=", regularity(polarized))
 
 # Cross-validation: three independent computations of one table.

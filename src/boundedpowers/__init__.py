@@ -26,7 +26,6 @@ from .graphs import (
 )
 from .homology import (
     BettiTable,
-    PolarizationMap,
     SimplicialComplex,
     betti_table,
     betti_table_hochster,
@@ -38,7 +37,6 @@ from .homology import (
     regularity,
 )
 from .linquot import (
-    LQOrdering,
     SearchCapExceeded,
     all_bounded_powers_lq,
     find_lq_ordering,

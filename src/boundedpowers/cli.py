@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 
 from .connections import colon_quadrics
-from .graphs import Graph, parse_graph6
+from .graphs import _ASCII_SPACE, Graph, parse_graph6
 from .homology import betti_table, regularity
 from .linquot import DEFAULT_GENERATOR_CAP, SearchCapExceeded, find_lq_ordering, is_lq_ordering
 from .monomials import MonomialIdeal
@@ -52,10 +53,11 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 
 def _load_graph(text: str) -> Graph:
-    stripped = text.strip()
+    stripped = text.strip(_ASCII_SPACE)
     if stripped.startswith("{"):
         return Graph.from_json(stripped)
-    lines = [line for line in stripped.splitlines() if line.strip()]
+    # str.splitlines would also break at the control bytes 0x1c-0x1e
+    lines = [line for line in re.split(r"\r\n?|\n", text) if line.strip(_ASCII_SPACE)]
     if len(lines) > 1:
         raise ValueError(f"expected one graph6 line, got {len(lines)} non-empty lines")
     return parse_graph6(lines[0] if lines else "")
@@ -90,9 +92,10 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    text = _read_input(args).strip()
-    if text.startswith("{") and "edges" not in json.loads(text):
-        ideal = MonomialIdeal.from_json(text)
+    text = _read_input(args)
+    stripped = text.strip(_ASCII_SPACE)
+    if stripped.startswith("{") and "edges" not in json.loads(stripped):
+        ideal = MonomialIdeal.from_json(stripped)
     else:
         ideal = _load_graph(text).edge_ideal()
     if args.c is not None:
@@ -108,9 +111,9 @@ def _cmd_delta(args) -> int:
 def _cmd_lq(args) -> int:
     ideal = MonomialIdeal.from_json(_read_input(args))
     if args.op == "find":
-        ordering = find_lq_ordering(ideal, args.max_gens)
-        payload = {"found": ordering is not None,
-                   "order": list(ordering.order) if ordering else None}
+        order = find_lq_ordering(ideal, args.max_gens)
+        payload = {"found": order is not None,
+                   "order": list(order) if order is not None else None}
     else:  # check
         order = _parse_vector(args.order)
         payload = {"order": list(order), "valid": is_lq_ordering(ideal, order)}

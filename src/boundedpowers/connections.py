@@ -131,33 +131,40 @@ def edge_factorization(graph: Graph, s: int, u: Monomial) -> dict[Edge, int] | N
 
     Depth-first over the sorted edges, with an explicit stack, trying the most
     copies of each edge first; the first complete branch is therefore the
-    smallest multiset.  The depth is the number of edges, not s.
+    smallest multiset.  The depth is the number of edges, not s.  The sorted
+    edges at a vertex come in the order of its neighbors, so the edge to its
+    largest neighbor is its last one, and must take all that is left there:
+    that edge has one choice only, and no branch ends with anything left.
     """
     u = _check_monomial(graph.n, u)
     if sum(u) != 2 * s:
         return None
+    adjacency = graph.adjacency
     edges = graph.sorted_edges()
     remaining = [0, *u]  # 1-based
     chosen: list[int] = []  # the multiplicity of each edge on the current branch
-    while True:
-        if len(chosen) < len(edges):
-            i, j = edges[len(chosen)]
-            m = min(remaining[i], remaining[j])  # most copies first
-        elif not any(remaining):
-            return {e: m for e, m in zip(edges, chosen) if m}
-        else:  # back up to the deepest edge that can take one copy fewer
+    while len(chosen) < len(edges):
+        i, j = edges[len(chosen)]
+        ri, rj = remaining[i], remaining[j]
+        m = ri if ri < rj else rj  # most copies first
+        if m < ri and j == adjacency[i][-1] or m < rj and i == adjacency[j][-1]:
+            # back up to the deepest edge with a choice left: one copy fewer
             m = -1
             while m < 0 and chosen:
                 m = chosen.pop()
                 i, j = edges[len(chosen)]
                 remaining[i] += m
                 remaining[j] += m
-                m -= 1
+                m = -1 if j == adjacency[i][-1] or i == adjacency[j][-1] else m - 1
             if m < 0:
                 return None
         remaining[i] -= m
         remaining[j] -= m
         chosen.append(m)
+    # only a vertex on no edge can have anything left, on every branch
+    if any(remaining):
+        return None
+    return {e: m for e, m in zip(edges, chosen) if m}
 
 
 def colon_quadrics(

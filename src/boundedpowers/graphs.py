@@ -19,6 +19,9 @@ from .monomials import MonomialIdeal, _is_int_rows
 Edge = tuple[int, int]
 
 GRAPH6_HEADER = ">>graph6<<"
+# str.strip() would also strip the control bytes 0x1c-0x1f, which no graph6
+# line may hold
+_ASCII_SPACE = " \t\n\r\v\f"
 _ENUMERATION_CAP = 9
 
 
@@ -153,13 +156,15 @@ def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line (optional `>>graph6<<` header tolerated).
 
     Decoding is bit-exact: byte values, payload length, and zero padding are
-    all enforced, so parse/emit round-trips on valid corpus lines.
+    all enforced, so parse/emit round-trips on valid corpus lines.  Only ASCII
+    whitespace is stripped, and offsets count from the start of ``line``.
     """
-    text = line.strip()
-    base = 0
+    text = line.lstrip(_ASCII_SPACE)
+    base = len(line) - len(text)
+    text = text.rstrip(_ASCII_SPACE)
     if text.startswith(GRAPH6_HEADER):
         text = text[len(GRAPH6_HEADER) :]
-        base = len(GRAPH6_HEADER)
+        base += len(GRAPH6_HEADER)
     if not text:
         raise Graph6Error("empty graph6 line", base)
     for k, ch in enumerate(text):
@@ -212,7 +217,7 @@ def read_graph6_file(path: str) -> Iterator[Graph]:
     """
     with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, 1):
-            if line.strip():
+            if line.strip(_ASCII_SPACE):
                 try:
                     graph = parse_graph6(line)
                 except Graph6Error as exc:

@@ -196,34 +196,25 @@ def reduced_homology_ranks(
     return ranks
 
 
-@dataclass(frozen=True)
-class PolarizationMap:
-    """Bookkeeping for squarefree-ification: source variable i (1-based) with
-    multiplicity a_i expands to target variables indexed offset_i+1..offset_i+a_i,
-    where offset_i = a_1 + ... + a_(i-1)."""
-
-    source_n: int
-    multiplicities: tuple[int, ...]
-
-
-def polarize(ideal: MonomialIdeal) -> tuple[MonomialIdeal, PolarizationMap]:
+def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     """The squarefree polarization, one target variable per exponent unit.
 
-    Generator count and minimality are preserved; the map records the variable
-    multiplicities used.
+    With m_i the largest exponent of x_i, variable x_i gets the m_i target
+    variables m_1 + ... + m_(i-1) + 1, ..., m_1 + ... + m_i, and x_i^a becomes
+    the product of the first a of them.  Generator count and minimality are
+    preserved.
     """
     if ideal.is_zero():
         raise ValueError("cannot polarize the zero ideal")
     if ideal.is_unit():
         raise ValueError("cannot polarize the unit ideal (no target variables)")
     mults = tuple(max(g[i] for g in ideal.gens) for i in range(ideal.n))
-    # x_i^a becomes the first a of the m_i target variables of x_i
     polarized = MonomialIdeal(sum(mults), (
         tuple(bit for a, m in zip(g, mults) for bit in (1,) * a + (0,) * (m - a))
         for g in ideal.gens
     ))
     assert len(polarized.gens) == len(ideal.gens)
-    return polarized, PolarizationMap(ideal.n, mults)
+    return polarized
 
 
 def _packed_gens(ideal: MonomialIdeal) -> tuple[_Packing, list[int]]:

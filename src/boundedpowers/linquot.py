@@ -1,18 +1,17 @@
 """Linear quotients orderings: recognition, search, and restriction.
 
-An ordering u_1, ..., u_m of the minimal generators has linear quotients when
-every prefix colon ideal (u_1, ..., u_{i-1}) : u_i is generated by variables;
-equivalently, for every j < i some k < i has u_k : u_i equal to a single
-variable dividing u_j : u_i.  The search for an ordering is complete
-backtracking over "admissible next generator", memoized on the chosen subset:
-admissibility depends only on the set of generators already placed, not on
-their sequence.  The colon-splitting labeling of consecutive bounded powers
-runs the same search with some pairs met in advance.
+An ordering is a tuple of indices into ``ideal.gens``, the sorted minimal
+generators.  An ordering u_1, ..., u_m has linear quotients when every prefix
+colon ideal (u_1, ..., u_{i-1}) : u_i is generated by variables; equivalently,
+for every j < i some k < i has u_k : u_i equal to a single variable dividing
+u_j : u_i.  The search for an ordering is complete backtracking over
+"admissible next generator", memoized on the chosen subset: admissibility
+depends only on the set of generators already placed, not on their sequence.
+The colon-splitting labeling of consecutive bounded powers runs the same
+search with some pairs met in advance.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .graphs import Graph
 from .monomials import (
@@ -32,16 +31,6 @@ DEFAULT_GENERATOR_CAP = 24
 class SearchCapExceeded(RuntimeError):
     """Raised when an ordering search is refused because the ideal has too
     many generators for the configured cap.  Never silent."""
-
-
-@dataclass(frozen=True)
-class LQOrdering:
-    """A candidate generator ordering; ``valid`` is set only after the linear
-    quotients check has passed."""
-
-    ideal: MonomialIdeal
-    order: tuple[int, ...]
-    valid: bool = False
 
 
 def _check_permutation(ideal: MonomialIdeal, order: tuple[int, ...]) -> None:
@@ -152,17 +141,15 @@ def _check_cap(m: int, cap: int, search: str) -> None:
 
 def find_lq_ordering(
     ideal: MonomialIdeal, max_generators: int = DEFAULT_GENERATOR_CAP
-) -> LQOrdering | None:
-    """A linear quotients ordering if one exists, else None.
+) -> tuple[int, ...] | None:
+    """The lexicographically smallest linear quotients ordering, else None.
 
-    The search is complete, so None is a proof of absence.  Ideals with more
-    than ``max_generators`` generators are refused via SearchCapExceeded.
+    The search is complete, so None is a proof of absence.  The zero ideal's
+    ordering is ``()``, so test the result with ``is not None``.  Ideals with
+    more than ``max_generators`` generators are refused via SearchCapExceeded.
     """
     _check_cap(len(ideal.gens), max_generators, "linear quotients")
-    order = search_ordering(len(ideal.gens), *_lq_pair_data(ideal))
-    if order is None:
-        return None
-    return LQOrdering(ideal, order, valid=True)
+    return search_ordering(len(ideal.gens), *_lq_pair_data(ideal))
 
 
 def has_colon_splitting_order(
@@ -189,25 +176,25 @@ def has_colon_splitting_order(
 
 
 def restrict_lq_ordering(
-    ideal: MonomialIdeal, ordering: LQOrdering, c: BoundVector
-) -> LQOrdering:
-    """The ordering induced on the c-bounded generators.
+    ideal: MonomialIdeal, order: tuple[int, ...], c: BoundVector
+) -> tuple[int, ...]:
+    """The ordering induced on the c-bounded generators, as indices into
+    ``ideal.restrict(c).gens``.
 
-    The input must be a valid linear quotients ordering of ``ideal``; the
-    induced subsequence is returned as an ordering of ``ideal.restrict(c)``
-    together with the result of re-checking linear quotients on it.
+    ``order`` must be a linear quotients ordering of ``ideal``; ValueError
+    otherwise.  The restriction keeps the bounded generators of the sorted
+    minimal set in their order, so each kept generator's index is its rank
+    among the kept ones.  Whether the induced ordering has linear quotients
+    is for the caller to check, with ``is_lq_ordering(ideal.restrict(c), ...)``.
     """
     c = _check_monomial(ideal.n, c)
-    if ordering.ideal != ideal or not (
-        ordering.valid or is_lq_ordering(ideal, ordering.order)
-    ):
+    if not is_lq_ordering(ideal, order):
         raise ValueError("input is not a valid linear quotients ordering of the ideal")
-    restricted = ideal.restrict(c)
-    index_of = {g: k for k, g in enumerate(restricted.gens)}
-    induced = tuple(
-        index_of[ideal.gens[i]] for i in ordering.order if is_bounded(ideal.gens[i], c)
-    )
-    return LQOrdering(restricted, induced, valid=is_lq_ordering(restricted, induced))
+    rank: dict[int, int] = {}
+    for i, g in enumerate(ideal.gens):
+        if is_bounded(g, c):
+            rank[i] = len(rank)
+    return tuple(rank[i] for i in order if i in rank)
 
 
 def all_bounded_powers_lq(

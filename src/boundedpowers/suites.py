@@ -39,6 +39,7 @@ from .linquot import (
     all_bounded_powers_lq,
     find_lq_ordering,
     has_colon_splitting_order,
+    is_lq_ordering,
     restrict_lq_ordering,
 )
 from .monomials import MonomialIdeal
@@ -398,12 +399,12 @@ def _eval_boston(payload: dict, cfg: SuiteConfig) -> list[dict]:
     if skipped:
         return skipped
     records = []
-    for t, c in enumerate(payload["cs"]):
-        induced = restrict_lq_ordering(ideal, ordering, tuple(c))
+    for t, c in enumerate(map(tuple, payload["cs"])):
+        induced = restrict_lq_ordering(ideal, ordering, c)
+        valid = is_lq_ordering(ideal.restrict(c), induced)
         records.append(_record(
-            f"{key}|c{t}", payload, "pass" if induced.valid else "fail",
-            f"c={_c_string(c)} induced_order={list(induced.order)} valid={induced.valid}",
-            s=t))
+            f"{key}|c{t}", payload, "pass" if valid else "fail",
+            f"c={_c_string(c)} induced_order={list(induced)} valid={valid}", s=t))
     return records
 
 
@@ -432,7 +433,7 @@ def _eval_remark45(payload: dict, cfg: SuiteConfig) -> list[dict]:
     top = len(bounded_power_chain(ideal, c))
     ordering = find_lq_ordering(ideal)
     ok = top == 1 and ordering is None
-    detail = f"delta={top} lq_ordering={'none' if ordering is None else list(ordering.order)}"
+    detail = f"delta={top} lq_ordering={'none' if ordering is None else list(ordering)}"
     return [_record("remark45", {"ideal": json.loads(ideal.to_json()), "c": list(c)},
                     "pass" if ok else "fail", detail)]
 

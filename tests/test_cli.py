@@ -118,6 +118,12 @@ class TestOtherCommands:
                            stdin='{"n": 1, "gens": []}', monkeypatch=monkeypatch)
         assert code == 0 and json.loads(out) == {"order": [], "valid": True}
 
+    def test_lq_find_zero_ideal(self, capsys, monkeypatch):
+        # the zero ideal's ordering () is falsy but found
+        code, out, _ = run(capsys, ["lq", "find"],
+                           stdin='{"n": 2, "gens": []}', monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out) == {"found": True, "order": []}
+
     def test_lq_find_and_check(self, tmp_path, capsys):
         src = write(tmp_path, "i.json", REMARK_IDEAL_JSON)
         code, out, _ = run(capsys, ["lq", "find", "--in", src])
@@ -387,6 +393,18 @@ class TestErrorHandling:
         corpus.write_bytes(b"A_\n\n" + bad + b"\nBw\n")
         code, out, err = run(capsys, ["verify", "--suite", "deg2", "--graph6", str(corpus)])
         assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("command", GRAPH_COMMANDS)
+    def test_control_bytes_in_graph6(self, capsys, monkeypatch, command):
+        # str.splitlines and str.strip would drop 0x1c and read K2
+        code, out, err = run(capsys, command, stdin="\x1cA_\n", monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "outside graph6 range" in err and "byte offset 0" in err
+
+    def test_graph6_offset_counts_from_the_start_of_the_line(self, capsys, monkeypatch):
+        code, out, err = run(capsys, ["graph", "complement"], stdin="\n  A@\n",
+                             monkeypatch=monkeypatch)
+        assert code == 2 and out == "" and "nonzero padding bits (byte offset 3)" in err
 
     def test_blank_lines_around_one_graph6_line(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["graph", "complement"], stdin="\nA_\n\n  \n",

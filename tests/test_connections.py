@@ -137,6 +137,30 @@ def enumerate_walks(g, edges, a):
                       for e in left if v in e]
 
 
+def assert_agrees_with_walks(g, edges):
+    """Targets and shortest witnesses of every vertex against the full walk
+    enumeration; returns how many (a, b) pairs are connected only by walks
+    that take some edge twice."""
+    twice = 0
+    for a in g.vertices():
+        shortest, once = {}, set()
+        for path in enumerate_walks(g, edges, a):
+            if len(path) >= 4 and len(path) % 2 == 0:
+                shortest[path[-1]] = min(shortest.get(path[-1], len(path)), len(path))
+                taken = Counter(normalize_edge(*path[k:k + 2]) for k in range(1, len(path) - 1, 2))
+                if max(taken.values()) == 1:
+                    once.add(path[-1])
+        twice += len(set(shortest) - once)
+        assert even_connected_targets(g, edges, a) == set(shortest)
+        for b in g.vertices():
+            conn = find_even_connection(g, edges, a, b)
+            assert (conn is None) == (b not in shortest)
+            if conn is not None:
+                assert is_valid_even_connection(g, edges, a, b, conn)
+                assert len(conn) == shortest[b]
+    return twice
+
+
 class TestTwoUseCap:
     def test_agrees_with_walk_enumeration(self):
         rng = random.Random(97)
@@ -149,19 +173,27 @@ class TestTwoUseCap:
             pool = rng.sample(g.sorted_edges(), min(len(g.edges), rng.randint(1, 3)))
             edges = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
             heavy += max(Counter(edges).values()) >= 3
-            for a in g.vertices():
-                shortest = {}
-                for path in enumerate_walks(g, edges, a):
-                    if len(path) >= 4 and len(path) % 2 == 0:
-                        shortest[path[-1]] = min(shortest.get(path[-1], len(path)), len(path))
-                assert even_connected_targets(g, edges, a) == set(shortest)
-                for b in g.vertices():
-                    conn = find_even_connection(g, edges, a, b)
-                    assert (conn is None) == (b not in shortest)
-                    if conn is not None:
-                        assert is_valid_even_connection(g, edges, a, b, conn)
-                        assert len(conn) == shortest[b]
+            assert_agrees_with_walks(g, edges)
         assert heavy >= 30
+
+    def test_pendant_path_into_odd_cycle(self):
+        # a walk from the pendant path back to it must take the pendant edge
+        # into the cycle out and back, with the odd cycle flipping the parity
+        # in between, so every instance needs an edge's second use
+        rng = random.Random(101)
+        for _ in range(60):
+            length, cycle = rng.randint(2, 3), rng.choice((3, 5))
+            n = length + cycle
+            label = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+            path = [(k, k + 1) for k in range(1, length + 1)]
+            ring = [(length + 1 + k, length + 1 + (k + 1) % cycle) for k in range(cycle)]
+            g = Graph.from_edges(n, [(label[i], label[j]) for i, j in path + ring])
+            # the edge into the cycle, repeated, and the edges that match the
+            # rest of the cycle, which let a walk round it flip parity
+            multiset = [path[-1]] * rng.randint(2, 3) + ring[1::2]
+            if rng.random() < 0.5:
+                multiset.append(rng.choice(ring + path[:-1]))
+            assert assert_agrees_with_walks(g, [(label[i], label[j]) for i, j in multiset]) >= 1
 
     def test_edge_taken_in_both_directions(self):
         # the only walk from 1 back to 1 takes (2, 3) out and back, with the
@@ -175,6 +207,15 @@ class TestTwoUseCap:
         k2 = complete_graph(2)
         two, many = (len(_even_walks(k2, _edge_counts(k2, [(1, 2)] * m), 1)) for m in (2, 1000))
         assert two == many
+
+
+def first_multiset(g, s, u):
+    """The first multiset of s sorted edges, in lexicographic order, whose
+    product is u, as a multiplicity map; None if there is none."""
+    for multiset in combinations_with_replacement(g.sorted_edges(), s):
+        if all(sum(v in e for e in multiset) == a for v, a in enumerate(u, 1)):
+            return dict(Counter(multiset))
+    return None
 
 
 class TestEdgeFactorization:
@@ -196,15 +237,39 @@ class TestEdgeFactorization:
             g = random_graph(rng, rng.randint(2, 5))
             s = rng.randint(0, 3)
             u = tuple(rng.randint(0, 2) for _ in range(g.n))
-            first = None
-            for multiset in combinations_with_replacement(g.sorted_edges(), s):
-                if all(sum(v in e for e in multiset) == a for v, a in enumerate(u, 1)):
-                    first = dict(Counter(multiset))
-                    break
             result = edge_factorization(g, s, u)
-            assert result == first
+            assert result == first_multiset(g, s, u)
             if result is not None:
                 assert list(result) == sorted(result)
+
+    def test_degree_sum_right_but_no_factorization(self):
+        # the last edge at each vertex must use up what is left there, so the
+        # search does not backtrack through the multiplicities
+        k = 10**4
+        assert edge_factorization(path_graph(4), 2 * k, (k, k, k + 1, k - 1)) is None
+        assert edge_factorization(path_graph(4), 2 * k, (k, k + 1, k + 1, k)) is None
+        assert edge_factorization(path_graph(4), 2 * k, (k - 1, k, k + 1, k)) == {
+            (1, 2): k - 1, (2, 3): 1, (3, 4): k}
+
+    def test_vertex_on_no_edge(self):
+        g = Graph.from_edges(3, [(1, 2)])
+        assert edge_factorization(g, 2, (1, 1, 2)) is None
+        assert edge_factorization(g, 1, (1, 1, 0)) == {(1, 2): 1}
+
+    def test_first_multiset_when_degrees_sum_to_2s(self):
+        # u built from a random multiset, then perturbed within the degree sum
+        rng = random.Random(29)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(2, 5))
+            s = rng.randint(1, 4)
+            u = [0] * g.n
+            for i, j in random_edge_multiset(rng, g, s):
+                u[i - 1] += 1
+                u[j - 1] += 1
+            v, w = rng.sample(range(g.n), 2)
+            if u[v] and rng.random() < 0.5:
+                u[v], u[w] = u[v] - 1, u[w] + 1
+            assert edge_factorization(g, s, tuple(u)) == first_multiset(g, s, u)
 
     def test_independent_of_s(self):
         assert edge_factorization(complete_graph(2), 10**9, (10**9, 10**9)) == {(1, 2): 10**9}

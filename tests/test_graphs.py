@@ -184,6 +184,20 @@ class TestGraph6:
             parse_graph6(line)
         assert err.value.offset == offset
 
+    def test_control_bytes_are_not_stripped(self):
+        # str.strip() treats 0x1c-0x1f as whitespace; graph6 does not
+        with pytest.raises(Graph6Error, match="outside graph6 range") as err:
+            parse_graph6("\x1cA_\x1f")
+        assert err.value.offset == 0
+
+    def test_offset_counts_from_the_start_of_the_line(self):
+        with pytest.raises(Graph6Error, match="byte offset 3"):
+            parse_graph6("  A@")
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6("\t>>graph6<<A\u00ff")
+        assert err.value.offset == 12
+        assert parse_graph6("\t A_\r\n").edges == frozenset({(1, 2)})
+
     def test_nonzero_padding_rejected(self):
         # n=2 uses only the first payload bit; 'O' = 63+16 sets a padding bit
         with pytest.raises(Graph6Error):

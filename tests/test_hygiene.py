@@ -96,8 +96,9 @@ UNREAD_PUBLIC_ALLOWLIST = {
 
 
 def _public_definitions(node: ast.stmt) -> list[tuple[str, ast.AST]]:
-    """(name, definition) of a public top-level function or class, and of
-    every public method of a top-level class."""
+    """(name, definition) of a public top-level function or class, of every
+    public method of a top-level class, and of every public annotated field
+    of a public top-level class."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     if not isinstance(node, (*functions, ast.ClassDef)):
         return []
@@ -105,6 +106,10 @@ def _public_definitions(node: ast.stmt) -> list[tuple[str, ast.AST]]:
     if isinstance(node, ast.ClassDef):
         found += [(f"{node.name}.{sub.name}", sub) for sub in node.body
                   if isinstance(sub, functions) and not sub.name.startswith("_")]
+        if not node.name.startswith("_"):
+            found += [(f"{node.name}.{sub.target.id}", sub) for sub in node.body
+                      if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+                      and not sub.target.id.startswith("_")]
     return found
 
 
@@ -144,6 +149,21 @@ def test_detects_a_public_name_only_tests_read():
     assert unread_public_names(sources, {**readers, "test_a.py": test_file}) == [
         "a.py:recursive", "a.py:Kept.unused",
     ]
+
+
+def test_detects_a_public_field_only_tests_read():
+    sources = {
+        "a.py": "from dataclasses import dataclass\n"
+                "@dataclass\nclass Map:\n    n: int\n    read_by_tests: int\n"
+                "    unread: tuple[int, ...] = ()\n    _private: int = 0\n"
+                "@dataclass\nclass _Hidden:\n    unread_too: int\n"
+                "def size(m: Map) -> int:\n    return m.n + _Hidden(1).unread_too\n",
+    }
+    readers = {"demo.py": "from a import Map, size\nprint(size(Map(1, 2)))\n"}
+    test_file = "from a import Map\nassert Map(1, 2).read_by_tests == 2\n"
+    # a field is matched bare, like a method; a private class's fields are not checked
+    assert unread_public_names(sources, readers) == ["a.py:Map.read_by_tests", "a.py:Map.unread"]
+    assert unread_public_names(sources, {**readers, "test_a.py": test_file}) == ["a.py:Map.unread"]
 
 
 def test_no_public_name_read_only_by_tests():

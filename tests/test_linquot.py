@@ -7,7 +7,6 @@ from itertools import combinations, permutations
 import pytest
 
 from boundedpowers import (
-    LQOrdering,
     MonomialIdeal,
     SearchCapExceeded,
     all_bounded_powers_lq,
@@ -82,11 +81,11 @@ class TestFindLQOrdering:
 
     def test_principal(self):
         ordering = find_lq_ordering(MonomialIdeal(3, [(1, 2, 0)]))
-        assert ordering is not None and ordering.order == (0,) and ordering.valid
+        assert ordering == (0,)
 
     def test_zero_ideal(self):
         ordering = find_lq_ordering(MonomialIdeal(2, []))
-        assert ordering is not None and ordering.order == ()
+        assert ordering == ()
 
     def test_chordal_complement_edge_ideals_found(self):
         for n in range(2, 5):
@@ -103,7 +102,7 @@ class TestFindLQOrdering:
             found = find_lq_ordering(ideal)
             assert (found is not None) == brute_force_has_lq(ideal)
             if found is not None:
-                assert is_lq_ordering(ideal, found.order)
+                assert is_lq_ordering(ideal, found)
 
     def test_cap_refusal(self):
         gens = [tuple(1 if k in pair else 0 for k in range(6)) for pair in combinations(range(6), 2)]
@@ -114,7 +113,7 @@ class TestFindLQOrdering:
 
     def test_deterministic_tie_break(self):
         ideal = path_graph(3).edge_ideal()
-        assert find_lq_ordering(ideal).order == (0, 1)
+        assert find_lq_ordering(ideal) == (0, 1)
 
     @pytest.mark.parametrize("gens", [
         [(1, 0), (1, 1)],  # x1 divides x1*x2
@@ -124,8 +123,8 @@ class TestFindLQOrdering:
     def test_order_is_valid_on_raw_generators(self, gens):
         ideal = MonomialIdeal(len(gens[0]), gens)
         ordering = find_lq_ordering(ideal)
-        assert ordering is not None and ordering.valid
-        assert is_lq_ordering(ideal, ordering.order)
+        assert ordering is not None
+        assert is_lq_ordering(ideal, ordering)
 
 
 class TestRestrictOrdering:
@@ -133,23 +132,43 @@ class TestRestrictOrdering:
         ideal = path_graph(4).edge_ideal()
         ordering = find_lq_ordering(ideal)
         induced = restrict_lq_ordering(ideal, ordering, (2,) * 4)
-        assert induced.ideal == ideal
-        assert induced.order == ordering.order
-        assert induced.valid
+        assert ideal.restrict((2,) * 4) == ideal
+        assert induced == ordering
+        assert is_lq_ordering(ideal, induced)
 
     def test_single_survivor(self):
         ideal = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
-        ordering = LQOrdering(ideal, (0, 1, 2), valid=is_lq_ordering(ideal, (0, 1, 2)))
-        induced = restrict_lq_ordering(ideal, ordering, (1, 1))
-        assert induced.ideal.gens == ((1, 1),)
-        assert induced.order == (0,)
-        assert induced.valid
+        induced = restrict_lq_ordering(ideal, (0, 1, 2), (1, 1))
+        assert ideal.restrict((1, 1)).gens == ((1, 1),)
+        assert induced == (0,)
+        assert is_lq_ordering(ideal.restrict((1, 1)), induced)
 
     def test_invalid_input_rejected(self):
         ideal = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
-        bad = LQOrdering(ideal, (2, 0, 1), valid=False)
         with pytest.raises(ValueError):
-            restrict_lq_ordering(ideal, bad, (1, 1))
+            restrict_lq_ordering(ideal, (2, 0, 1), (1, 1))
+
+    def test_order_is_always_checked(self):
+        # no flag or wrapper lets an ordering without linear quotients through
+        ideal = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
+        assert not is_lq_ordering(ideal, (0, 2, 1))
+        with pytest.raises(ValueError, match="not a valid linear quotients ordering"):
+            restrict_lq_ordering(ideal, (0, 2, 1), (2, 2))
+
+    def test_induced_indices_match_restricted_generators(self):
+        rng = random.Random(41)
+        checked = 0
+        while checked < 60:
+            ideal = random_ideal(rng, nmax=4, max_gens=6)
+            ordering = find_lq_ordering(ideal)
+            if ordering is None:
+                continue
+            c = tuple(rng.randint(0, 3) for _ in range(ideal.n))
+            restricted = ideal.restrict(c)
+            expected = [g for g in (ideal.gens[i] for i in ordering) if g in restricted.gens]
+            induced = restrict_lq_ordering(ideal, ordering, c)
+            assert [restricted.gens[k] for k in induced] == expected
+            checked += 1
 
     def test_inheritance_on_random_ideals(self):
         rng = random.Random(29)
@@ -162,7 +181,7 @@ class TestRestrictOrdering:
             for _ in range(3):
                 c = tuple(rng.randint(0, 3) for _ in range(ideal.n))
                 induced = restrict_lq_ordering(ideal, ordering, c)
-                assert induced.valid, (ideal, c)
+                assert is_lq_ordering(ideal.restrict(c), induced), (ideal, c)
             checked += 1
 
     def test_persistence_under_smaller_bounds(self):
@@ -260,7 +279,7 @@ class TestPairTable:
             first = next((order for order in permutations(range(len(ideal.gens)))
                           if is_lq_ordering(ideal, order)), None)
             found = find_lq_ordering(ideal)
-            assert (found.order if found is not None else None) == first
+            assert found == first
             checked += 1
         assert checked > 100
 
