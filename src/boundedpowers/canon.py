@@ -20,10 +20,14 @@ other) are swapped by an automorphism that fixes the node, so their subtrees
 hold the same codes and only one of them is searched.  Graphs whose tree
 still has more than ``LEAF_BUDGET`` leaves get no form (``None``); a caller
 treats such a graph as a class of its own, which is always correct.
+
+Uncoloured labeled graphs are instead grouped by ``labeled_classes``: each
+class is one orbit, keyed by its least labeling (Read, *Every one a winner*, 1978).
 """
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
 from typing import Sequence
 
 from .graphs import Graph
@@ -128,3 +132,21 @@ def canonical_form(graph: Graph, colours: Sequence[int]) -> tuple | None:
             rest = [u for u in cell if u != v]
             stack.append(_refine(adj, cells[:target] + [[v], rest] + cells[target + 1:]))
     return tuple(sorted(colours)), best
+
+
+def labeled_classes(n: int) -> list[int]:
+    """Entry ``mask`` is the least mask isomorphic to graph ``mask`` of
+    ``enumerate_labeled_graphs(n)``.  An unmarked mask, in increasing order,
+    is the least of its class; its orbit under the n! relabelings, each a
+    table of the image bit of every pair bit, is then marked at once."""
+    pairs = list(combinations(range(n), 2))
+    bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+    tables = [[bit[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs]
+              for p in permutations(range(n))]
+    keys = [-1] * (1 << len(pairs))
+    for mask in range(len(keys)):
+        if keys[mask] < 0:
+            on = [k for k in range(len(pairs)) if mask >> k & 1]
+            for table in tables:
+                keys[sum([table[k] for k in on])] = mask
+    return keys

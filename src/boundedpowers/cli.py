@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a theorem-verification suite",
                               argument_default=argparse.SUPPRESS)
     p_verify.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
-    p_verify.add_argument("--nmax", type=int, help="enumerate all labeled graphs on 1..N vertices")
+    p_verify.add_argument("--nmax", type=int,
+                          help="enumerate all labeled graphs on 1..N vertices, N <= 9")
     p_verify.add_argument("--graph6", dest="graph6_path", metavar="FILE",
                           help="corpus file of graph6 lines")
     p_verify.add_argument("--count", dest="random_count", metavar="N", type=int,

@@ -13,11 +13,13 @@ reported as a skip too.
 Every graph statement is also unchanged when the vertices and c are relabeled
 together: x_i -> x_pi(i) maps (I(G)^s)_c onto (I(pi G)^s)_{pi c}.  So a graph
 suite evaluates one instance per isomorphism class of (G, colour v by c_v),
-found through ``canon.canonical_form``, and gives each other member of the
-class the same (s, outcome, detail) records under its own key and payload.
-That requires every pass and skip detail to be label-invariant.  A fail
-detail may name labeled monomials, so a class whose first member fails is
-evaluated member by member.
+and gives each other member of the class the same (s, outcome, detail)
+records under its own key and payload.  On the ``nmax`` corpus with the same c
+on every vertex, a class is an orbit of labeled graphs keyed by its least mask
+(``canon.labeled_classes``); on any other, its key is ``canon.canonical_form``.
+Every pass and skip detail must be label-invariant.  A fail detail may name
+labeled monomials, so a class whose first member fails is evaluated member by
+member.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ import random
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Iterable
 
-from .canon import canonical_form
+from .canon import canonical_form, labeled_classes
 from .connections import colon_generated_in_degree_two, colon_quadrics
-from .graphs import Graph, enumerate_labeled_graphs, parse_graph6, read_graph6_file
+from .graphs import (_ENUMERATION_CAP, Graph, enumerate_labeled_graphs, parse_graph6,
+                     read_graph6_file)
 from .homology import check_characteristic, has_linear_resolution, regularity
 from .linquot import (
     DEFAULT_GENERATOR_CAP,
@@ -124,6 +128,8 @@ class SuiteConfig:
             value = getattr(self, name)
             if value is not None and value < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
+        if self.nmax is not None and self.nmax > _ENUMERATION_CAP:
+            raise ValueError(f"nmax must be <= {_ENUMERATION_CAP}, got {self.nmax}")
         check_characteristic(self.char)
 
 
@@ -143,7 +149,19 @@ class VerificationReport:
         return data
 
     def to_json(self, with_timings: bool = True) -> str:
-        return json.dumps(self.to_dict(with_timings), sort_keys=True, indent=1)
+        """``json.dumps(self.to_dict(with_timings), sort_keys=True, indent=1)``,
+        byte for byte, with records and graph payloads formatted from templates
+        (``indent`` would force the pure-Python encoder on all of it)."""
+        data = self.to_dict(with_timings)
+        parts = []
+        for name in sorted(data):
+            value = data[name]
+            if name in ("records", "counterexamples") and value:
+                text = "[\n" + ",\n".join(map(_record_json, value)) + "\n ]"
+            else:
+                text = _indented_json(value, 1)
+            parts.append(f' "{name}": {text}')
+        return "{\n" + ",\n".join(parts) + "\n}"
 
     @property
     def failed(self) -> int:
@@ -154,8 +172,35 @@ def _record(key: str, instance: dict, outcome: str, detail: str, s: int | None =
     return {"key": key, "instance": instance, "s": s, "outcome": outcome, "detail": detail}
 
 
+# a record made by _record, and a graph payload in it, as json.dumps writes
+# them in a top-level list of an indent=1 document
+_RECORD_FIELDS = {"detail", "instance", "key", "outcome", "s"}
+_RECORD_JSON = ('  {{\n   "detail": {},\n   "instance": {},\n   "key": {},\n'
+                '   "outcome": {},\n   "s": {}\n  }}')
+_GRAPH_JSON = '{{\n    "c": [\n     {}\n    ],\n    "graph6": {}\n   }}'
+
+
+def _indented_json(value, depth: int) -> str:
+    """``value`` as ``json.dumps`` writes it at nesting ``depth`` of an
+    ``indent=1`` document; a JSON string holds no raw newline."""
+    return json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n" + " " * depth)
+
+
+def _record_json(record: dict) -> str:
+    if record.keys() != _RECORD_FIELDS:  # not made by _record: no template
+        return "  " + _indented_json(record, 2)
+    payload, s = record["instance"], record["s"]
+    if len(payload) == 2 and "graph6" in payload and payload.get("c"):
+        payload = _GRAPH_JSON.format(",\n     ".join(map(str, payload["c"])),
+                                     _json_string(payload["graph6"]))
+    else:
+        payload = _indented_json(payload, 3)
+    return _RECORD_JSON.format(_json_string(record["detail"]), payload, _json_string(record["key"]),
+                               _json_string(record["outcome"]), "null" if s is None else s)
+
+
 def _c_string(c) -> str:
-    return ",".join(str(x) for x in c)
+    return ",".join(map(str, c))
 
 
 def _draw_c(rng: random.Random, n: int, cfg: SuiteConfig) -> tuple[int, ...]:
@@ -178,8 +223,8 @@ def _draw_c(rng: random.Random, n: int, cfg: SuiteConfig) -> tuple[int, ...]:
             return c
 
 
-def _graph_instances(cfg: SuiteConfig) -> tuple[list[dict], list[tuple | None]]:
-    """The corpus payloads, and the canonical form of each (G, c) or None."""
+def _graph_corpus(cfg: SuiteConfig) -> tuple[list[Graph], list[dict]]:
+    """The corpus graphs and their payloads, each with its bound c."""
     rng = random.Random(cfg.seed)
     graphs: list[Graph] = []
     if cfg.graph6_path is not None:
@@ -193,12 +238,18 @@ def _graph_instances(cfg: SuiteConfig) -> tuple[list[dict], list[tuple | None]]:
     else:
         for n in range(1, (cfg.nmax or 4) + 1):
             graphs.extend(enumerate_labeled_graphs(n))
-    instances, forms = [], []
-    for g in graphs:
-        c = _draw_c(rng, g.n, cfg)
-        instances.append({"graph6": g.to_graph6(), "c": list(c)})
-        forms.append(canonical_form(g, c))
-    return instances, forms
+    instances = [{"graph6": g.to_graph6(), "c": list(_draw_c(rng, g.n, cfg))} for g in graphs]
+    return graphs, instances
+
+
+def _class_keys(cfg: SuiteConfig, graphs: list[Graph], instances: list[dict]) -> list:
+    """The class key of each (G, c), or None for a class of its own: (n,
+    least mask) on the exhaustive corpus with the same c on every vertex,
+    whose graphs come in mask order for each n, else the canonical form."""
+    if (cfg.graph6_path is None and cfg.random_count is None
+            and cfg.c_policy in ("ones", "constant")):
+        return [(n, key) for n in dict.fromkeys(g.n for g in graphs) for key in labeled_classes(n)]
+    return [canonical_form(g, payload["c"]) for g, payload in zip(graphs, instances)]
 
 
 def _random_ideal(rng: random.Random, cfg: SuiteConfig) -> MonomialIdeal:
@@ -519,24 +570,28 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     its records to the other members, except in a class with a failure,
     whose members are all evaluated (see the module docstring).  Evaluation
     runs in parallel when jobs > 1; results do not depend on the schedule.
-    The records are sorted by instance key.  Wall-clock timings and the class
+    The records are sorted by instance key.  Wall-clock timings (the whole
+    run and its corpus, classes, evaluate and assemble stages) and the class
     counts live in a sidecar section that is excluded from determinism
     comparisons.
     """
-    start = time.perf_counter()
+    clock = [time.perf_counter()]  # the end of each stage
     corpus = _SUITES[cfg.suite].corpus
     if corpus == "graphs":
-        instances, forms = _graph_instances(cfg)
-        classes = _isomorphism_classes(forms)
-        over_budget = forms.count(None)
+        graphs, instances = _graph_corpus(cfg)
+        clock.append(time.perf_counter())
+        forms = _class_keys(cfg, graphs, instances)
     else:
         instances = _ideal_instances(cfg) if corpus == "ideals" else [{}]
-        classes = [[k] for k in range(len(instances))]
-        over_budget = 0
+        clock.append(time.perf_counter())
+        forms = list(range(len(instances)))  # each instance is a class of its own
+    classes = _isomorphism_classes(forms)
+    clock.append(time.perf_counter())
     chunks = _evaluate(cfg, [instances[members[0]] for members in classes])
     failing = [k for members, chunk in zip(classes, chunks) if len(members) > 1
                and any(r["outcome"] == "fail" for r in chunk) for k in members[1:]]
     evaluated = dict(zip(failing, _evaluate(cfg, [instances[k] for k in failing])))
+    clock.append(time.perf_counter())
     records = []
     for members, chunk in zip(classes, chunks):
         records.extend(chunk)
@@ -553,9 +608,12 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
                for outcome in ("pass", "fail", "skip")}
     summary["total"] = len(records)
     config = asdict(cfg)
+    clock.append(time.perf_counter())
+    stages = {f"{name}_s": round(end - begin, 6) for name, begin, end
+              in zip(("corpus", "classes", "evaluate", "assemble"), clock, clock[1:])}
     # jobs affects only scheduling; keep it with the timing sidecar so that
     # reports are byte-identical regardless of parallelism
-    timings = {"wall_seconds": round(time.perf_counter() - start, 6), "jobs": config.pop("jobs"),
+    timings = {"wall_seconds": round(clock[-1] - clock[0], 6), "jobs": config.pop("jobs"),
                "instances": len(instances), "classes": len(classes),
-               "reevaluated": len(failing), "over_budget": over_budget}
+               "reevaluated": len(failing), "over_budget": forms.count(None), **stages}
     return VerificationReport(config, records, counterexamples, summary, timings)

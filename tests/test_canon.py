@@ -1,13 +1,13 @@
 """Canonical forms of vertex-coloured graphs against brute force and counts."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from boundedpowers import Graph, cycle_graph, enumerate_labeled_graphs
 from boundedpowers import canon
-from boundedpowers.canon import canonical_form
+from boundedpowers.canon import canonical_form, labeled_classes
 
 
 def brute_force_form(graph, colours):
@@ -94,3 +94,32 @@ class TestCanonicalForm:
         assert canonical_form(c5, (1,) * 5) is None
         monkeypatch.setattr(canon, "LEAF_BUDGET", 1)
         assert canonical_form(empty, (1,) * 5) is not None
+
+
+def least_relabeled_mask(mask, n):
+    """The least mask over all relabelings of graph ``mask`` of
+    ``enumerate_labeled_graphs(n)``, by relabeling its edge set."""
+    pairs = list(combinations(range(n), 2))
+    edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+    return min(sum(1 << pairs.index(tuple(sorted((p[i], p[j])))) for i, j in edges)
+               for p in permutations(range(n)))
+
+
+class TestLabeledClasses:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_partitions_like_canonical_form(self, n):
+        forms = [canonical_form(g, (1,) * n) for g in enumerate_labeled_graphs(n)]
+        assert None not in forms
+        assert partition(labeled_classes(n)) == partition(forms)
+
+    def test_class_counts_match_oeis_a000088(self):
+        counts = [len(set(labeled_classes(n))) for n in range(1, 7)]
+        assert counts == [1, 2, 4, 11, 34, 156]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_each_key_is_the_least_mask_of_its_class(self, n):
+        keys = labeled_classes(n)
+        assert len(keys) == 2 ** (n * (n - 1) // 2)
+        rng = random.Random(n)
+        for mask in rng.sample(range(len(keys)), min(len(keys), 200)):
+            assert keys[mask] == least_relabeled_mask(mask, n)

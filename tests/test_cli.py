@@ -279,6 +279,14 @@ class TestErrorHandling:
         code, out, err = run(capsys, ["verify", "--suite", "regmain"] + argv)
         assert code == 2 and ">= 1" in err and out == ""
 
+    def test_nmax_above_the_enumeration_cap(self, capsys, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError(f"a run started for {cfg}")
+
+        monkeypatch.setattr(cli, "run_suite", no_run)
+        code, out, err = run(capsys, ["verify", "--suite", "edge-lq", "--nmax", "10"])
+        assert code == 2 and "nmax must be <= 9, got 10" in err and out == ""
+
     @pytest.mark.parametrize("argv, message", [
         (["--suite", "regmain", "--random-nmax", "-5"], "random_nmax must be >= 2"),
         (["--suite", "regmain", "--random-nmax", "1"], "random_nmax must be >= 2"),

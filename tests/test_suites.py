@@ -113,6 +113,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be >= 1"):
             SuiteConfig(suite="regmain", **corpus)
 
+    def test_nmax_above_the_enumeration_cap_rejected(self):
+        # refused before any corpus is built: the run would first build every
+        # labeled graph on up to nine vertices
+        SuiteConfig(suite="regmain", nmax=9)
+        with pytest.raises(ValueError, match="nmax must be <= 9, got 10"):
+            SuiteConfig(suite="regmain", nmax=10)
+
     @pytest.mark.parametrize("suite, options, field, floor", [
         ("regmain", dict(random_nmax=1), "random_nmax", 2),
         ("regmain", dict(random_nmax=-5), "random_nmax", 2),
@@ -290,12 +297,20 @@ class TestReports:
         assert first.to_json(with_timings=False) == second.to_json(with_timings=False)
 
     def test_timings_live_in_sidecar(self):
-        report = run_suite(SuiteConfig(suite="remark45"))
-        data = report.to_dict()
-        assert "wall_seconds" in data["timings"]
-        assert "jobs" in data["timings"]
-        assert "jobs" not in data["config"]
-        assert "timings" not in report.to_dict(with_timings=False)
+        for options in (dict(suite="remark45"), dict(suite="essen", nmax=3)):
+            report = run_suite(SuiteConfig(**options))
+            data = report.to_dict()
+            assert "wall_seconds" in data["timings"]
+            assert "jobs" in data["timings"]
+            assert "jobs" not in data["config"]
+            assert "timings" not in report.to_dict(with_timings=False)
+            # stage seconds from run_suite, outside the deterministic part
+            names = ("corpus_s", "classes_s", "evaluate_s", "assemble_s")
+            stages = [data["timings"][name] for name in names]
+            assert all(isinstance(t, float) and t >= 0 for t in stages)
+            assert sum(stages) <= data["timings"]["wall_seconds"] + 1e-5
+            text = report.to_json(with_timings=False)
+            assert not any(name in text for name in names)
 
 
 class TestCorpora:
@@ -435,7 +450,7 @@ def record_order(r):
 
 def reference_records(cfg):
     """Every instance of the corpus evaluated on its own, records flattened."""
-    instances, _ = suites._graph_instances(cfg)
+    _, instances = suites._graph_corpus(cfg)
     records = [r for payload in instances
                for r in suites._evaluate_instance((cfg.suite, payload, cfg))]
     return sorted(records, key=record_order)
@@ -464,6 +479,16 @@ CORPORA = {
     "random-c": dict(random_count=40, random_nmax=5, seed=3, c_policy="random", c_value=2),
     "relabeled-g6": dict(c_policy="constant", c_value=2),
 }
+
+
+def fail_on_an_edge(monkeypatch):
+    """Make deg2 fail every graph with an edge, naming its first edge."""
+    def check(inst, s):
+        edges = inst.graph.sorted_edges()
+        return inst.record(not edges, f"first edge {edges[0]}" if edges else "edgeless")
+
+    monkeypatch.setitem(suites._SUITES, "deg2",
+                        replace(suites._SUITES["deg2"], evaluate=suites._GraphSuite(check)))
 
 
 class TestIsomorphismMemo:
@@ -495,25 +520,22 @@ class TestIsomorphismMemo:
 
     @pytest.mark.parametrize("budget", [0, 1])
     @pytest.mark.parametrize("suite", ["regmain", "banerjee-colon"])
-    def test_tiny_leaf_budget_gives_the_same_report(self, monkeypatch, suite, budget):
-        cfg = SuiteConfig(suite=suite, nmax=4, **C2)
+    def test_tiny_leaf_budget_gives_the_same_report(self, tmp_path, monkeypatch, suite, budget):
+        # a graph6 corpus: the exhaustive corpus at a constant c finds its
+        # classes as orbits and never calls canonical_form
+        cfg = SuiteConfig(suite=suite, graph6_path=relabeled_corpus(tmp_path), **C2)
         expected = run_suite(cfg).to_json(with_timings=False)
         monkeypatch.setattr(canon, "LEAF_BUDGET", budget)
         report = run_suite(cfg)
         assert report.to_json(with_timings=False) == expected
         over = report.timings["over_budget"]
-        assert (over == 75) if budget == 0 else (0 < over < 75)
-        assert report.timings["classes"] > 18
+        assert (over == 20) if budget == 0 else (0 < over < 20)
+        assert report.timings["classes"] > 5
 
     def test_fail_details_stay_with_their_member(self, monkeypatch):
         # a check whose fail detail names a labeled edge: copying the
         # representative's record would give every member the wrong edge
-        def check(inst, s):
-            edges = inst.graph.sorted_edges()
-            return inst.record(not edges, f"first edge {edges[0]}" if edges else "edgeless")
-
-        monkeypatch.setitem(suites._SUITES, "deg2",
-                            replace(suites._SUITES["deg2"], evaluate=suites._GraphSuite(check)))
+        fail_on_an_edge(monkeypatch)
         cfg = SuiteConfig(suite="deg2", nmax=4, **C2)
         report = run_suite(cfg)
         assert report.records == reference_records(cfg)
@@ -523,3 +545,54 @@ class TestIsomorphismMemo:
         # 71 instances with an edge, in 14 classes whose other members rerun
         assert len(report.counterexamples) == 71
         assert report.timings["reevaluated"] == 71 - 14
+
+
+def assert_written_like_json_dumps(report):
+    for with_timings in (True, False):
+        expected = json.dumps(report.to_dict(with_timings), sort_keys=True, indent=1)
+        assert report.to_json(with_timings) == expected
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_every_suite(self, suite):
+        if suite in ("boston", "istanbul"):
+            options = dict(suite=suite, random_count=10, seed=3)
+        elif suite == "remark45":
+            options = dict(suite=suite)
+        else:
+            options = read_options(suite, nmax=4, **C2)
+        assert_written_like_json_dumps(run_suite(SuiteConfig(**options)))
+
+    def test_failing_report(self, monkeypatch):
+        fail_on_an_edge(monkeypatch)
+        report = run_suite(SuiteConfig(suite="deg2", nmax=4, **C2))
+        assert report.failed == len(report.counterexamples) == 71
+        assert_written_like_json_dumps(report)
+
+    def test_empty_corpus(self, tmp_path):
+        path = tmp_path / "empty.g6"
+        path.write_text("")
+        report = run_suite(SuiteConfig(suite="regmain", graph6_path=str(path)))
+        assert report.records == []
+        assert_written_like_json_dumps(report)
+
+    def test_backslash_in_graph6(self):
+        # a backslash is graph6 byte 63 + 0b011101, which four-vertex graphs reach
+        report = run_suite(SuiteConfig(suite="essen", nmax=4))
+        assert any("\\" in record["key"] for record in report.records)
+        assert_written_like_json_dumps(report)
+
+    def test_strings_are_escaped(self):
+        # quotes, backslashes, control and non-ASCII characters in every
+        # string field, and a payload and a record outside the templates
+        odd = 'a "b" \\ c\td\n\u00e9\u2603\x1f'
+        records = [suites._record(odd, {"graph6": odd, "c": [1, 2]}, "fail", odd, 3),
+                   suites._record("k", {"graph6": "A_", "c": []}, odd, "", None),
+                   suites._record("k", {"ideal": {"n": 1, "gens": [[1]]}, "c": [1]}, "pass", odd),
+                   {"key": odd, "extra": [odd]}]
+        report = suites.VerificationReport({"suite": odd, "nested": {"x": [1.5, None]}},
+                                           records, records[:1],
+                                           {"fail": 1, "pass": 1, "skip": 0, "total": 4},
+                                           {"wall_seconds": 0.25, odd: [odd]})
+        assert_written_like_json_dumps(report)
