@@ -5,6 +5,10 @@ standard input or ``--in`` and write JSON to standard output or ``--out``.
 ``verify`` runs a theorem suite over a corpus and exits 1 when a counterexample
 was found.  Exit codes: 0 all pass / computation ok, 1 counterexample found,
 2 usage or input error.
+
+The parser needs the suite names and the search cap, so ``suites`` and
+``linquot`` load with this module; each command imports the other layers it
+calls, so that a run loads only what it uses.
 """
 
 from __future__ import annotations
@@ -15,13 +19,9 @@ import re
 import sys
 from dataclasses import fields
 
-from .connections import colon_quadrics
 from .graphs import _ASCII_SPACE, Graph, parse_graph6
-from .homology import betti_table, regularity
 from .linquot import DEFAULT_GENERATOR_CAP, SearchCapExceeded, find_lq_ordering, is_lq_ordering
 from .monomials import MonomialIdeal
-from .polymatroid import is_equigenerated, is_matroidal, is_polymatroidal
-from .powers import delta, delta_bmatching
 from .suites import C_POLICIES, SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -64,6 +64,8 @@ def _load_graph(text: str) -> Graph:
 
 
 def _cmd_ideal(args) -> int:
+    from .homology import betti_table, regularity
+
     ideal = MonomialIdeal.from_json(_read_input(args))
     if args.op == "restrict":
         result = ideal.restrict(_parse_vector(args.c)).to_json()
@@ -80,6 +82,8 @@ def _cmd_ideal(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .powers import delta_bmatching
+
     graph = _load_graph(_read_input(args))
     if args.op == "complement":
         result = graph.complement().to_json()
@@ -92,6 +96,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_delta(args) -> int:
+    from .powers import delta
+
     text = _read_input(args)
     stripped = text.strip(_ASCII_SPACE)
     if stripped.startswith("{") and "edges" not in json.loads(stripped):
@@ -122,6 +128,8 @@ def _cmd_lq(args) -> int:
 
 
 def _cmd_polymatroidal(args) -> int:
+    from .polymatroid import is_equigenerated, is_matroidal, is_polymatroidal
+
     ideal = MonomialIdeal.from_json(_read_input(args))
     poly = is_polymatroidal(ideal)
     payload = {
@@ -134,6 +142,8 @@ def _cmd_polymatroidal(args) -> int:
 
 
 def _cmd_colon_quadrics(args) -> int:
+    from .connections import colon_quadrics
+
     graph = _load_graph(_read_input(args))
     c = _parse_vector(args.c)
     u = _parse_vector(args.u)
@@ -207,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                               argument_default=argparse.SUPPRESS)
     p_verify.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
     p_verify.add_argument("--nmax", type=int,
-                          help="enumerate all labeled graphs on 1..N vertices, N <= 9")
+                          help="enumerate all labeled graphs on 1..N vertices, N <= 7")
     p_verify.add_argument("--graph6", dest="graph6_path", metavar="FILE",
                           help="corpus file of graph6 lines")
     p_verify.add_argument("--count", dest="random_count", metavar="N", type=int,

@@ -118,19 +118,11 @@ class Graph:
         return True
 
     def to_graph6(self) -> str:
-        data = _encode_n(self.n)
-        bits = []
-        for j in range(2, self.n + 1):
-            for i in range(1, j):
-                bits.append(1 if (i, j) in self.edges else 0)
-        while len(bits) % 6:
-            bits.append(0)
-        for k in range(0, len(bits), 6):
-            value = 0
-            for b in bits[k : k + 6]:
-                value = (value << 1) | b
-            data.append(value + 63)
-        return bytes(data).decode("ascii")
+        line, start = _graph6_frame(self.n)
+        for i, j in self.edges:
+            at, value = _graph6_slot(i, j)
+            line[start + at] += value
+        return line.decode("ascii")
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "edges": [list(e) for e in self.sorted_edges()]})
@@ -150,6 +142,23 @@ def _encode_n(n: int) -> list[int]:
     if n <= 258047:
         return [126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     raise ValueError(f"graph6 encoding for n={n} not supported (max 258047)")
+
+
+def _graph6_frame(n: int) -> tuple[bytearray, int]:
+    """The graph6 line of the edgeless graph on n vertices, and the offset of
+    its payload.  Adding the value of each edge's ``_graph6_slot`` to its
+    payload byte gives the line of any graph on n vertices: a payload byte is
+    63 plus six pair bits, so no sum carries."""
+    head = bytes(_encode_n(n))
+    return bytearray(head + b"?" * ((n * (n - 1) // 2 + 5) // 6)), len(head)
+
+
+def _graph6_slot(i: int, j: int) -> tuple[int, int]:
+    """(payload byte, bit value) of pair (i, j), i < j.  graph6 lists the
+    pairs column by column, (1,2), (1,3), (2,3), (1,4), ..., six to a byte
+    from its bit 5 down."""
+    k = (j - 1) * (j - 2) // 2 + i - 1
+    return k // 6, 32 >> k % 6
 
 
 def parse_graph6(line: str) -> Graph:
@@ -240,6 +249,22 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     for mask in range(1 << len(pairs)):
         edges = frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
         yield Graph(n, edges)
+
+
+def labeled_graph6(n: int) -> list[str]:
+    """The graph6 line of every graph of ``enumerate_labeled_graphs(n)``, in
+    its order, written straight from the masks.  Each line is held as one
+    big-endian int, to which mask bit k, lexicographic pair k, adds the value
+    of its ``_graph6_slot``; the lines of the masks below 2^(k+1) are those
+    below 2^k, then the same with that value added."""
+    edgeless, start = _graph6_frame(n)
+    last = len(edgeless) - 1
+    lines = [int.from_bytes(edgeless, "big")]
+    for i, j in combinations(range(1, n + 1), 2):
+        at, value = _graph6_slot(i, j)
+        bit = value << 8 * (last - start - at)
+        lines += [line + bit for line in lines]
+    return [line.to_bytes(last + 1, "big").decode("ascii") for line in lines]
 
 
 def path_graph(n: int) -> Graph:

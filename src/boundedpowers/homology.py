@@ -46,13 +46,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd as _gcd, isqrt
+from math import gcd as _gcd
 from typing import Iterable, Mapping, Sequence
 
 from .monomials import (
     Monomial,
     MonomialIdeal,
     _Packing,
+    check_characteristic,
     degree,
     lcm,
     support,
@@ -108,12 +109,6 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return f"SimplicialComplex({self.all_faces()!r})"
-
-
-def check_characteristic(char: int) -> None:
-    """Raise ValueError unless ``char`` is 0 or a prime."""
-    if char != 0 and (char < 2 or any(char % d == 0 for d in range(2, isqrt(char) + 1))):
-        raise ValueError(f"characteristic must be 0 or a prime, got {char}")
 
 
 def _reduced(row: Mapping[int, int], char: int) -> dict[int, int]:

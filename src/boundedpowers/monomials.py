@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, groupby
+from math import isqrt
 from operator import le
 from typing import Sequence
 
@@ -49,6 +50,13 @@ def is_bounded(u: Monomial, c: BoundVector) -> bool:
     """True iff u is entrywise <= c.  With c = (1,...,1) this is squarefreeness."""
     _check_same_ambient(u, c)
     return all(a <= b for a, b in zip(u, c))
+
+
+def check_characteristic(char: int) -> None:
+    """Raise ValueError unless ``char`` is 0 or a prime: the field
+    characteristics that homology computes over."""
+    if char != 0 and (char < 2 or any(char % d == 0 for d in range(2, isqrt(char) + 1))):
+        raise ValueError(f"characteristic must be 0 or a prime, got {char}")
 
 
 def _check_same_ambient(u: Sequence[int], v: Sequence[int]) -> None:

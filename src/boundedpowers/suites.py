@@ -20,11 +20,15 @@ on every vertex, a class is an orbit of labeled graphs keyed by its least mask
 Every pass and skip detail must be label-invariant.  A fail detail may name
 labeled monomials, so a class whose first member fails is evaluated member by
 member.
+
+A check imports the layer it calls (``homology``, ``connections``,
+``polymatroid``) when it runs, so a run loads only the layers of its suite.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -32,11 +36,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, Iterable
 
-from .canon import canonical_form, labeled_classes
-from .connections import colon_generated_in_degree_two, colon_quadrics
-from .graphs import (_ENUMERATION_CAP, Graph, enumerate_labeled_graphs, parse_graph6,
-                     read_graph6_file)
-from .homology import check_characteristic, has_linear_resolution, regularity
+from .graphs import Graph, labeled_graph6, parse_graph6, read_graph6_file
 from .linquot import (
     DEFAULT_GENERATOR_CAP,
     SearchCapExceeded,
@@ -46,9 +46,12 @@ from .linquot import (
     is_lq_ordering,
     restrict_lq_ordering,
 )
-from .monomials import MonomialIdeal
-from .polymatroid import is_matroidal, is_polymatroidal
+from .monomials import MonomialIdeal, check_characteristic
 from .powers import bounded_power_chain
+
+# the largest nmax: the corpus holds every labeled graph on up to nmax
+# vertices, and n = 8 alone has 2^28 of them
+_NMAX_CAP = 7
 
 # c policy -> the config fields it reads besides c_policy
 _POLICY_READS = {"ones": (), "constant": ("c_value",), "random": ("c_value", "seed"),
@@ -128,8 +131,8 @@ class SuiteConfig:
             value = getattr(self, name)
             if value is not None and value < floor:
                 raise ValueError(f"{name} must be >= {floor}, got {value}")
-        if self.nmax is not None and self.nmax > _ENUMERATION_CAP:
-            raise ValueError(f"nmax must be <= {_ENUMERATION_CAP}, got {self.nmax}")
+        if self.nmax is not None and self.nmax > _NMAX_CAP:
+            raise ValueError(f"nmax must be <= {_NMAX_CAP}, got {self.nmax}")
         check_characteristic(self.char)
 
 
@@ -223,32 +226,41 @@ def _draw_c(rng: random.Random, n: int, cfg: SuiteConfig) -> tuple[int, ...]:
             return c
 
 
-def _graph_corpus(cfg: SuiteConfig) -> tuple[list[Graph], list[dict]]:
-    """The corpus graphs and their payloads, each with its bound c."""
+def _graph_corpus(cfg: SuiteConfig) -> tuple[list[Graph] | None, list[dict]]:
+    """The corpus graphs and their payloads, each a graph6 line with its
+    bound c.  The ``nmax`` corpus writes its lines straight from the masks
+    and builds no graph, so its graphs are None."""
     rng = random.Random(cfg.seed)
-    graphs: list[Graph] = []
+    graphs: list[Graph] | None = None
     if cfg.graph6_path is not None:
-        graphs.extend(read_graph6_file(cfg.graph6_path))
+        graphs = list(read_graph6_file(cfg.graph6_path))
     elif cfg.random_count is not None:
+        graphs = []
         for _ in range(cfg.random_count):
             n = rng.randint(2, cfg.random_nmax)
             edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
                      if rng.random() < 0.5]
             graphs.append(Graph.from_edges(n, edges))
+    if graphs is None:
+        lines = [(n, line) for n in range(1, (cfg.nmax or 4) + 1) for line in labeled_graph6(n)]
     else:
-        for n in range(1, (cfg.nmax or 4) + 1):
-            graphs.extend(enumerate_labeled_graphs(n))
-    instances = [{"graph6": g.to_graph6(), "c": list(_draw_c(rng, g.n, cfg))} for g in graphs]
+        lines = [(g.n, g.to_graph6()) for g in graphs]
+    instances = [{"graph6": line, "c": list(_draw_c(rng, n, cfg))} for n, line in lines]
     return graphs, instances
 
 
-def _class_keys(cfg: SuiteConfig, graphs: list[Graph], instances: list[dict]) -> list:
+def _class_keys(cfg: SuiteConfig, graphs: list[Graph] | None, instances: list[dict]) -> list:
     """The class key of each (G, c), or None for a class of its own: (n,
-    least mask) on the exhaustive corpus with the same c on every vertex,
-    whose graphs come in mask order for each n, else the canonical form."""
-    if (cfg.graph6_path is None and cfg.random_count is None
-            and cfg.c_policy in ("ones", "constant")):
-        return [(n, key) for n in dict.fromkeys(g.n for g in graphs) for key in labeled_classes(n)]
+    least mask) on the ``nmax`` corpus (no ``graphs``) with the same c on
+    every vertex, whose lines come in mask order for each n, else the
+    canonical form."""
+    from .canon import canonical_form, labeled_classes
+
+    if graphs is None and cfg.c_policy in ("ones", "constant"):
+        ns = dict.fromkeys(len(payload["c"]) for payload in instances)
+        return [(n, key) for n in ns for key in labeled_classes(n)]
+    if graphs is None:
+        graphs = [parse_graph6(payload["graph6"]) for payload in instances]
     return [canonical_form(g, payload["c"]) for g, payload in zip(graphs, instances)]
 
 
@@ -306,6 +318,8 @@ class _Instance:
     def reg(self, s: int) -> int:
         """The regularity of (I(G)^s)_c, computed once per level."""
         if s not in self._regs:
+            from .homology import regularity
+
             self._regs[s] = regularity(self.chain[s - 1], self.cfg.char)
         return self._regs[s]
 
@@ -368,6 +382,8 @@ def _check_edge_lq(inst: _Instance, s: None) -> dict:
 
 
 def _check_essen(inst: _Instance, s: None) -> dict:
+    from .polymatroid import is_matroidal, is_polymatroidal
+
     top = inst.chain[-1]
     ok = is_polymatroidal(top)
     detail = f"delta={len(inst.chain)} polymatroidal={ok}"
@@ -378,6 +394,8 @@ def _check_essen(inst: _Instance, s: None) -> dict:
 
 
 def _check_linres_top(inst: _Instance, s: None) -> dict:
+    from .homology import has_linear_resolution
+
     delta = len(inst.chain)
     ok = has_linear_resolution(inst.chain[-1], inst.cfg.char)
     detail = f"delta={delta} linear_resolution={ok} (generation degree {2 * delta})"
@@ -390,6 +408,8 @@ def _check_regmain(inst: _Instance, s: int) -> dict:
 
 
 def _check_regcol(inst: _Instance, s: int) -> dict:
+    from .homology import regularity
+
     current, nxt = inst.chain[s - 1], inst.chain[s]
     lhs = inst.reg(s + 1)
     colon_regs = [regularity(nxt.colon(u), inst.cfg.char) for u in current.gens]
@@ -398,12 +418,16 @@ def _check_regcol(inst: _Instance, s: int) -> dict:
 
 
 def _check_deg2(inst: _Instance, s: int) -> dict:
+    from .connections import colon_generated_in_degree_two
+
     ok = colon_generated_in_degree_two(inst.chain[s - 1], inst.chain[s])
     detail = "all colon generators have degree 2" if ok else "colon generator of degree != 2"
     return inst.record(ok, detail, s)
 
 
 def _check_banerjee_colon(inst: _Instance, s: int) -> dict:
+    from .connections import colon_quadrics
+
     current, nxt = inst.chain[s - 1], inst.chain[s]
     for u in current.gens:
         direct = nxt.colon(u)
@@ -415,6 +439,8 @@ def _check_banerjee_colon(inst: _Instance, s: int) -> dict:
 
 
 def _check_colon_reg(inst: _Instance, s: int) -> dict:
+    from .homology import regularity
+
     bound = len(inst.chain) - s + 2
     for u in inst.chain[s - 2].gens:
         reg = regularity(inst.chain[s - 1].colon(u), inst.cfg.char)
@@ -552,12 +578,14 @@ def _isomorphism_classes(forms: list[tuple | None]) -> list[list[int]]:
 
 def _evaluate(cfg: SuiteConfig, payloads: list[dict]) -> list[list[dict]]:
     work = [(cfg.suite, payload, cfg) for payload in payloads]
-    if cfg.jobs > 1 and len(work) > 1:
+    # the fork start method starts every worker at the first submit
+    workers = min(cfg.jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the pool module pulls in multiprocessing, which a
         # one-process run would pay for at every start
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_evaluate_instance, work, chunksize=8))
     return [_evaluate_instance(item) for item in work]
 

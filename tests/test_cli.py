@@ -284,8 +284,8 @@ class TestErrorHandling:
             raise AssertionError(f"a run started for {cfg}")
 
         monkeypatch.setattr(cli, "run_suite", no_run)
-        code, out, err = run(capsys, ["verify", "--suite", "edge-lq", "--nmax", "10"])
-        assert code == 2 and "nmax must be <= 9, got 10" in err and out == ""
+        code, out, err = run(capsys, ["verify", "--suite", "edge-lq", "--nmax", "8"])
+        assert code == 2 and "nmax must be <= 7, got 8" in err and out == ""
 
     @pytest.mark.parametrize("argv, message", [
         (["--suite", "regmain", "--random-nmax", "-5"], "random_nmax must be >= 2"),
@@ -430,3 +430,28 @@ class TestStartup:
                                 env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    # suite -> (a layer its checks call, layers it must not load)
+    LAYERS = {
+        "edge-lq": ("linquot", {"homology", "connections", "polymatroid"}),
+        "banerjee-colon": ("connections", {"homology", "polymatroid"}),
+        "regmain": ("homology", {"connections", "polymatroid"}),
+    }
+
+    @pytest.mark.parametrize("suite", LAYERS)
+    def test_a_suite_loads_only_the_layers_it_runs(self, suite):
+        # every module a process loads is compiled at its start when no
+        # bytecode is cached
+        src = Path(cli.__file__).resolve().parents[1]
+        argv = ["verify", "--suite", suite, "--nmax", "3", "--c-policy", "constant",
+                "--c-value", "2", "--out", os.devnull]
+        code = (f"import sys, boundedpowers.cli; code = boundedpowers.cli.main({argv!r}); "
+                "print(code, *sorted(m.split('.')[1] for m in sys.modules "
+                "if m.startswith('boundedpowers.')))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+        assert result.returncode == 0, result.stderr
+        exit_code, *loaded = result.stdout.split()
+        used, unused = self.LAYERS[suite]
+        assert exit_code == "0" and used in loaded
+        assert not unused & set(loaded), loaded

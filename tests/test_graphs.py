@@ -16,7 +16,20 @@ from boundedpowers import (
     parse_graph6,
     path_graph,
 )
+from boundedpowers.graphs import labeled_graph6
 from conftest import matching_number
+
+
+def reference_graph6(g: Graph) -> str:
+    """graph6 by the letter of its definition: the vertex count, then the
+    upper triangle column by column, six bits to a byte from the high bit,
+    each byte plus 63."""
+    n = g.n
+    head = [n + 63] if n <= 62 else [126] + [(n >> shift & 63) + 63 for shift in (12, 6, 0)]
+    bits = [int((i, j) in g.edges) for j in range(2, n + 1) for i in range(1, j)]
+    bits += [0] * (-len(bits) % 6)
+    body = [int("".join(map(str, bits[k:k + 6])), 2) + 63 for k in range(0, len(bits), 6)]
+    return bytes(head + body).decode("ascii")
 
 
 def brute_force_chordal(g: Graph) -> bool:
@@ -159,7 +172,20 @@ class TestGraph6:
         for n in range(1, 9):
             for _ in range(50):
                 g = random_graph(rng, n)
+                assert g.to_graph6() == reference_graph6(g)
                 assert parse_graph6(g.to_graph6()) == g
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 100, 131])
+    def test_round_trip_random_around_the_long_form(self, n):
+        # from n = 63 on, the vertex count takes the 4-byte form
+        rng = random.Random(n)
+        for density in (0.0, 0.05, 0.5, 1.0):
+            g = Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2)
+                                     if rng.random() < density])
+            line = g.to_graph6()
+            assert line == reference_graph6(g)
+            assert line.startswith("~") == (n >= 63)
+            assert parse_graph6(line) == g
 
     def test_round_trip_long_form(self):
         g = Graph.from_edges(63, [(1, 2), (62, 63)])
@@ -226,6 +252,13 @@ class TestEnumeration:
     def test_all_distinct(self):
         seen = {g.to_graph6() for g in enumerate_labeled_graphs(4)}
         assert len(seen) == 64
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lines_written_from_masks(self, n):
+        graphs = list(enumerate_labeled_graphs(n))
+        lines = labeled_graph6(n)
+        assert lines == [g.to_graph6() for g in graphs]
+        assert [parse_graph6(line) for line in lines] == graphs
 
 
 

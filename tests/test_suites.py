@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import pytest
 
 import boundedpowers.suites as suites
-from boundedpowers import Graph, SuiteConfig, canon, cycle_graph, path_graph, run_suite
+from boundedpowers import Graph, SuiteConfig, canon, cycle_graph, homology, path_graph, run_suite
 from boundedpowers.suites import SUITE_NAMES
 
 GRAPH_SUITES = [name for name, suite in suites._SUITES.items() if suite.corpus == "graphs"]
@@ -114,11 +114,12 @@ class TestConfig:
             SuiteConfig(suite="regmain", **corpus)
 
     def test_nmax_above_the_enumeration_cap_rejected(self):
-        # refused before any corpus is built: the run would first build every
-        # labeled graph on up to nine vertices
-        SuiteConfig(suite="regmain", nmax=9)
-        with pytest.raises(ValueError, match="nmax must be <= 9, got 10"):
-            SuiteConfig(suite="regmain", nmax=10)
+        # refused before any corpus is built: n = 8 alone has 2^28 labeled
+        # graphs, one payload each, more than the memory of a small host
+        SuiteConfig(suite="regmain", nmax=7)
+        for nmax in (8, 9, 10):
+            with pytest.raises(ValueError, match=f"nmax must be <= 7, got {nmax}"):
+                SuiteConfig(suite="regmain", nmax=nmax)
 
     @pytest.mark.parametrize("suite, options, field, floor", [
         ("regmain", dict(random_nmax=1), "random_nmax", 2),
@@ -290,6 +291,44 @@ class TestReports:
         parallel = run_suite(SuiteConfig(jobs=3, **base))
         assert serial.to_json(with_timings=False) == parallel.to_json(with_timings=False)
 
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (1000, 64, 7),  # one worker per evaluated class at most
+        (1000, 2, 2),  # one per CPU at most
+        (3, 64, 3),
+        (4, None, None),  # no CPU count: one process, no pool
+        (4, 1, None),
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, jobs, cpus, workers):
+        # the fork start method starts every worker of a pool at its first
+        # submit, so a large --jobs must not reach the pool; the fake pool
+        # maps in this process and starts nothing
+        import concurrent.futures
+        import os
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        base = dict(suite="deg2", nmax=3, c_policy="constant", c_value=2)
+        serial = run_suite(SuiteConfig(**base)).to_json(with_timings=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = run_suite(SuiteConfig(jobs=jobs, **base))
+        assert report.timings["classes"] == 7
+        assert started == ([] if workers is None else [workers])
+        assert report.to_json(with_timings=False) == serial
+
     def test_deterministic_with_random_policy(self):
         base = dict(suite="regmain", random_count=15, seed=9, c_policy="random", c_value=2)
         first = run_suite(SuiteConfig(**base))
@@ -419,13 +458,14 @@ class TestSRange:
 
     def test_regcol_computes_each_level_regularity_once(self, monkeypatch):
         seen = []  # keeps every ideal alive, so ids stay unique
-        original = suites.regularity
+        original = homology.regularity
 
         def recorded(ideal, *args):
             seen.append(ideal)
             return original(ideal, *args)
 
-        monkeypatch.setattr(suites, "regularity", recorded)
+        # the checks import regularity from homology when they run
+        monkeypatch.setattr(homology, "regularity", recorded)
         report = run_suite(SuiteConfig(suite="regcol", nmax=3, **C2))
         assert any(r["s"] == 2 for r in report.records)  # some delta >= 3
         assert len({id(ideal) for ideal in seen}) == len(seen)
