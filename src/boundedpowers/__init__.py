@@ -22,7 +22,7 @@ _EXPORTS = {
                  "reduced_homology_ranks", "regularity"),
     "linquot": ("SearchCapExceeded", "all_bounded_powers_lq", "find_lq_ordering",
                 "has_colon_splitting_order", "is_lq_ordering", "restrict_lq_ordering"),
-    "monomials": ("BoundVector", "Monomial", "MonomialIdeal", "colon_mono", "degree", "divides",
+    "monomials": ("BoundVector", "Monomial", "MonomialIdeal", "colon_mono", "degree",
                   "is_bounded", "support"),
     "polymatroid": ("exchange_witness", "is_equigenerated", "is_matroidal", "is_polymatroidal"),
     "powers": ("bounded_power", "bounded_power_chain", "delta", "delta_bmatching",

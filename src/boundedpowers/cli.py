@@ -4,7 +4,7 @@ Single computations read an ideal/graph (JSON, or graph6 for graphs) from
 standard input or ``--in`` and write JSON to standard output or ``--out``.
 ``verify`` runs a theorem suite over a corpus and exits 1 when a counterexample
 was found.  Exit codes: 0 all pass / computation ok, 1 counterexample found,
-2 usage or input error.
+2 usage or input error, 3 any other error (a crash), traceback on stderr.
 
 The parser needs the suite names and the search cap, so ``suites`` and
 ``linquot`` load with this module; each command imports the other layers it
@@ -258,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError, SearchCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a crash must not exit 1, which means a counterexample
+        sys.excepthook(*sys.exc_info())  # the interpreter's traceback, on stderr
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,11 +11,10 @@ routes to the same table exist for cross-validation: restriction-complex
 homology on squarefree ideals and the degreewise strands of the full
 generator-subset resolution.
 
-``betti_table`` runs on packed monomials (``monomials._Packing``) from start
-to finish.  The generators are packed once, with fields of
-``w = top.bit_length() + 1`` bits for ``top`` the largest exponent; the top
-bit of each field is a guard bit, and ``H`` and ``L`` hold a guard bit and a
-1 in every field.  The lcm lattice is closed under a branch-free field-wise
+``betti_table`` runs on the ideal's packed view (``MonomialIdeal._packed``),
+whose ``w``-bit fields have room for one more than the largest exponent; the
+top bit of each field is a guard bit, and ``H`` and ``L`` hold a guard bit and
+a 1 in every field.  The lcm lattice is closed under a branch-free field-wise
 max: ``ge = ((a | H) - b) & H`` has the guard bit of each field where
 ``a >= b``, ``mask = ge - (ge >> (w - 1))`` fills the low bits of those
 fields, and ``max(a, b) = (a & mask) | (b & ~mask)``.  At a lattice point
@@ -212,14 +211,7 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     return polarized
 
 
-def _packed_gens(ideal: MonomialIdeal) -> tuple[_Packing, list[int]]:
-    """A packing wide enough for every exponent of the ideal, and its packed
-    generators."""
-    packing = _Packing(ideal.n, max((max(g) for g in ideal.gens), default=0))
-    return packing, [packing.pack(g) for g in ideal.gens]
-
-
-def _packed_lattice(packing: _Packing, gens: list[int]) -> set[int]:
+def _packed_lattice(packing: _Packing, gens: tuple[int, ...]) -> set[int]:
     """The lcm lattice of packed generators, closed under the field-wise max in
     one pass: each generator b adds itself and its join with every point so far."""
     guard, shift = packing.guard, packing.width - 1
@@ -234,7 +226,7 @@ def _packed_lattice(packing: _Packing, gens: list[int]) -> set[int]:
     return lattice
 
 
-def _koszul_facets(packing: _Packing, gens: list[int], m: int) -> set[int]:
+def _koszul_facets(packing: _Packing, gens: tuple[int, ...], m: int) -> set[int]:
     """Facets of the upper Koszul complex at packed m, as guard-bit masks: one
     per generator g dividing m, holding the variables with g_i < m_i."""
     guard, ones = packing.guard, packing.ones
@@ -311,7 +303,7 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
     if ideal.is_zero():
         raise ValueError("the zero ideal has no Betti table")
     check_characteristic(char)
-    packing, gens = _packed_gens(ideal)
+    packing, gens = ideal._packed
     w = packing.width
     vertices = [1 << (k * w + w - 1) for k in range(ideal.n)]  # guard bits
     table: dict[tuple[int, int], int] = {}

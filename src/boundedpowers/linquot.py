@@ -13,15 +13,17 @@ search with some pairs met in advance.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .graphs import Graph
 from .monomials import (
     BoundVector,
     MonomialIdeal,
     _check_monomial,
-    _Packing,
     colon_mono,
     degree,
     is_bounded,
+    lcm,
 )
 from .powers import bounded_power_chain
 
@@ -109,17 +111,15 @@ def _lq_pair_data(ideal: MonomialIdeal):
     The support mask is 0 only when gens[j] divides gens[i], so off the
     diagonal it is never 0 for the minimal generators of a ``MonomialIdeal``;
     ``search_ordering`` can therefore read a 0 as a pair met in advance.
-    Both come from packed generators (``monomials._Packing``) whose fields
-    have room for one more than the largest exponent, so no field below
-    borrows.  With guard bits H and a 1 in every field L, field k of
-    ``e = (g_j | H) - g_i - L`` keeps its guard bit iff a_k > b_k, so
-    ``e & H`` is the support mask; the colon is a variable iff that mask has
-    one bit and ``(e - L) & mask == 0``, i.e. a_k - b_k == 1.  Mask bits are
-    therefore guard-bit positions, not variable indices.
+    Both come from the ideal's packed view.  With guard bits H and a 1 in
+    every field L, field k of ``e = (g_j | H) - g_i - L`` keeps its guard bit
+    iff a_k > b_k, so ``e & H`` is the support mask; the colon is a variable
+    iff that mask has one bit and ``(e - L) & mask == 0``, i.e.
+    a_k - b_k == 1.  Mask bits are therefore guard-bit positions, not
+    variable indices.
     """
-    packing = _Packing(ideal.n, max(map(max, ideal.gens), default=0) + 1)
+    packing, packed = ideal._packed
     guard, ones = packing.guard, packing.ones
-    packed = [packing.pack(g) for g in ideal.gens]
     supp_masks: list[list[int]] = []
     var_bits: list[list[int]] = []
     for gj in packed:
@@ -161,17 +161,16 @@ def has_colon_splitting_order(
     consecutive bounded powers ``chain[s - 1], chain[s]``, 1 <= s <= delta - 1.
 
     This is the linear quotients search with the pairs of the first kind met
-    in advance: their need masks are cleared.  Refuses ideals above the
-    generator cap.
+    in advance: their need masks are cleared.  As (u_j : u_i) * u_i is
+    lcm(u_i, u_j), a pair is of the first kind iff nxt holds that lcm, so the
+    test is symmetric and builds no colon ideal.  Refuses ideals above the cap.
     """
     gens = power.gens
     _check_cap(len(gens), max_generators, "labeling")
     needs, var_bits = _lq_pair_data(power)
-    for i, u in enumerate(gens):
-        colon = nxt.colon(u)
-        for j, row in enumerate(needs):
-            if colon.contains(colon_mono(gens[j], u)):
-                row[i] = 0
+    for i, j in combinations(range(len(gens)), 2):
+        if nxt.contains(lcm(gens[i], gens[j])):
+            needs[i][j] = needs[j][i] = 0
     return search_ordering(len(gens), needs, var_bits) is not None
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement, groupby
 from math import isqrt
 from operator import le
@@ -32,12 +33,6 @@ def support(u: Monomial) -> tuple[int, ...]:
 def lcm(u: Monomial, v: Monomial) -> Monomial:
     _check_same_ambient(u, v)
     return tuple(max(a, b) for a, b in zip(u, v))
-
-
-def divides(u: Monomial, v: Monomial) -> bool:
-    """True iff u divides v, i.e. every exponent of u is <= that of v."""
-    _check_same_ambient(u, v)
-    return all(a <= b for a, b in zip(u, v))
 
 
 def colon_mono(u: Monomial, v: Monomial) -> Monomial:
@@ -155,10 +150,21 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and degree(self.gens[0]) == 0
 
+    @cached_property
+    def _packed(self) -> tuple[_Packing, tuple[int, ...]]:
+        """The one packed view of the generators, with room for one more than
+        the top exponent; ``cached_property`` may write a frozen ``__dict__``."""
+        packing = _Packing(self.n, max(map(max, self.gens), default=0) + 1)
+        return packing, tuple(packing.pack(g) for g in self.gens)
+
     def contains(self, u: Monomial) -> bool:
-        """Ideal membership: some generator divides u."""
+        """Ideal membership on the packed view: u is clamped to the field
+        capacity, which no generator exponent reaches, keeping its divisors."""
         _check_monomial(self.n, u)
-        return any(divides(g, u) for g in self.gens)
+        packing, gens = self._packed
+        cap, guard = (1 << packing.width - 1) - 1, packing.guard
+        guarded = packing.pack(min(a, cap) for a in u) | guard
+        return any((guarded - g) & guard == guard for g in gens)
 
     def restrict(self, c: BoundVector) -> "MonomialIdeal":
         """The subideal generated by the c-bounded monomials of self.

@@ -420,6 +420,27 @@ class TestErrorHandling:
         assert code == 0 and json.loads(out) == {"n": 2, "edges": []}
 
 
+    @pytest.mark.parametrize("crash", [RuntimeError("boom"), MemoryError()],
+                             ids=["RuntimeError", "MemoryError"])
+    def test_a_crash_exits_three_not_one(self, capsys, monkeypatch, crash):
+        # exit 1 means a counterexample was found, so a crash must not give it
+        def run_suite(config):
+            raise crash
+
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        code, out, err = run(capsys, ["verify", "--suite", "remark45"])
+        assert code == 3 and out == ""
+        assert "Traceback" in err and type(crash).__name__ in err
+
+    def test_keyboard_interrupt_is_not_caught(self, monkeypatch):
+        def run_suite(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--suite", "remark45"])
+
+
 class TestStartup:
     def test_import_leaves_the_process_pool_out(self):
         # a --jobs 1 run never uses the pool, so it must not pay at every

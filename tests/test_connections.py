@@ -26,7 +26,9 @@ from boundedpowers import (
     is_valid_even_connection,
     path_graph,
 )
+from boundedpowers import linquot
 from boundedpowers.connections import _edge_counts, _even_walks
+from boundedpowers.linquot import _lq_pair_data
 from boundedpowers.graphs import normalize_edge
 
 
@@ -430,7 +432,8 @@ def brute_force_splitting_labeling(gens, colon_ideals) -> bool:
         i = order[pos]
         for j in order[:pos]:
             w = colon_mono(gens[j], gens[i])
-            if colon_ideals[i].contains(w):
+            # membership spelled out, so the oracle shares no code with contains
+            if any(all(a <= b for a, b in zip(g, w)) for g in colon_ideals[i].gens):
                 continue
             if any(
                 degree(colon_mono(gens[r], gens[i])) == 1
@@ -492,3 +495,66 @@ class TestSplittingOrder:
                 except SearchCapExceeded:
                     pass
             checked += 1
+
+
+def splitting_needs(monkeypatch, power, nxt):
+    """The need masks that ``has_colon_splitting_order`` hands to the search."""
+    seen = []
+    monkeypatch.setattr(linquot, "search_ordering", lambda m, needs, var_bits: seen.append(needs))
+    has_colon_splitting_order(power, nxt, max_generators=len(power.gens))
+    return seen[0]
+
+
+class TestSplittingTable:
+    """The met-in-advance table against its definition: pair (j, i) is met iff
+    u_j : u_i lies in (nxt : u_i), with membership spelled out; an unmet pair
+    keeps its support mask."""
+
+    def check_chains(self, monkeypatch, chains):
+        met = unmet = wide = 0
+        for chain in chains:
+            for power, nxt in zip(chain, chain[1:]):
+                gens = power.gens
+                supp, _ = _lq_pair_data(power)
+                needs = splitting_needs(monkeypatch, power, nxt)
+                wide += max(map(max, nxt.gens)) > max(map(max, gens)) + 1
+                for i, u in enumerate(gens):
+                    colon = nxt.colon(u).gens
+                    for j, v in enumerate(gens):
+                        if j == i:
+                            continue
+                        w = colon_mono(v, u)
+                        if any(all(a <= b for a, b in zip(g, w)) for g in colon):
+                            assert needs[j][i] == 0, (power, nxt, j, i)
+                            met += 1
+                        else:
+                            assert needs[j][i] == supp[j][i] != 0, (power, nxt, j, i)
+                            unmet += 1
+        assert met and unmet
+        return wide
+
+    def test_edge_ideal_chains(self, monkeypatch):
+        rng = random.Random(211)
+        chains = []
+        while len(chains) < 40:
+            g = random_graph(rng, rng.randint(3, 6))
+            chain = bounded_power_chain(g.edge_ideal(), tuple(rng.randint(1, 3) for _ in range(g.n)))
+            if len(chain) >= 2 and len(chain[0].gens) <= 30:
+                chains.append(chain[:3])
+        self.check_chains(monkeypatch, chains)
+
+    def test_general_monomial_chains(self, monkeypatch):
+        # generator exponents up to 3 and bounds up to 5, so that nxt's top
+        # exponent can exceed power's top + 1
+        rng = random.Random(223)
+        chains = []
+        while len(chains) < 60:
+            n = rng.randint(1, 4)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+            ideal = MonomialIdeal(n, [g for g in gens if any(g)])
+            if ideal.is_zero():
+                continue
+            chain = bounded_power_chain(ideal, tuple(rng.randint(1, 5) for _ in range(n)))
+            if len(chain) >= 2 and len(chain[0].gens) >= 2:
+                chains.append(chain[:4])
+        assert self.check_chains(monkeypatch, chains)

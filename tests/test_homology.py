@@ -34,7 +34,6 @@ from boundedpowers import (
 from boundedpowers.homology import (
     _faces,
     _koszul_facets,
-    _packed_gens,
     _packed_lattice,
     check_characteristic,
 )
@@ -117,18 +116,19 @@ def random_ideal(rng, nmax=5, max_gens=5, max_exp=2):
 
 def lattice_points(ideal):
     """The lcm lattice that ``betti_table`` closes, unpacked and sorted."""
-    packing, gens = _packed_gens(ideal)
+    packing, gens = ideal._packed
     return sorted(map(packing.unpack, _packed_lattice(packing, gens)))
 
 
 def boundary_ideals():
     """Ideals whose largest exponent is 0 (the unit ideal) or on either side
-    of a change of the packed field width (top.bit_length() + 1).  Each top
+    of a change of the field width of a packing with room for top
+    (top.bit_length() + 1) or for top + 1, as the packed view has.  Each top
     has a principal ideal and a two-generator one in two variables, whose
     polarizations stay narrow, and five random ones."""
     rng = random.Random(127)
     ideals = [MonomialIdeal(3, [(0, 0, 0)])]
-    for top in (1, 3, 4, 7, 8, 15, 16):
+    for top in (1, 3, 4, 7, 8, 15, 16, 2, 6, 14):
         ideals.append(MonomialIdeal(2, [(top, 1)]))
         ideals.append(MonomialIdeal(2, [(top, 0), (top - 1, 1)]))
         found = 0
@@ -146,7 +146,7 @@ def boundary_ideals():
 def koszul_faces(ideal, m):
     """The upper Koszul complex at m from the face-mask builder, each mask
     decoded to its variables, sorted by size and then lexicographically."""
-    packing, gens = _packed_gens(ideal)
+    packing, gens = ideal._packed
     masks = _faces(_koszul_facets(packing, gens, packing.pack(m)))
     # a face mask holds guard bits only; moved to the bottom of their fields,
     # they unpack to the 0/1 vector of the face
@@ -372,7 +372,7 @@ class TestBettiTable:
 def non_maximal_facet_points(ideal):
     """The lcm-lattice points whose upper Koszul complex has a facet mask
     strictly inside another one."""
-    packing, gens = _packed_gens(ideal)
+    packing, gens = ideal._packed
     points = []
     for m in lattice_points(ideal):
         facets = _koszul_facets(packing, gens, packing.pack(m))

@@ -22,7 +22,6 @@ from boundedpowers import (
     restrict_lq_ordering,
 )
 from boundedpowers.linquot import _lq_pair_data, search_ordering
-from boundedpowers.monomials import _Packing
 
 REMARK_IDEAL = MonomialIdeal(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
 
@@ -244,7 +243,7 @@ class TestPairTable:
         rng = random.Random(31 + max_exp)
         for _ in range(40):
             ideal = random_ideal(rng, nmax=12, max_gens=6, max_exp=max_exp)
-            width = _Packing(ideal.n, max(map(max, ideal.gens)) + 1).width
+            width = ideal._packed[0].width
             supp_masks, var_bits = _lq_pair_data(ideal)
             for j, gj in enumerate(ideal.gens):
                 for i, gi in enumerate(ideal.gens):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from boundedpowers import (
     MonomialIdeal,
     colon_mono,
-    divides,
     is_bounded,
 )
 
@@ -29,13 +28,16 @@ small_bounds = st.tuples(*[st.integers(0, 3)] * 4)
 
 class TestMonomialOps:
     def test_divides(self):
-        assert divides((1, 1), (2, 1))
-        assert divides((1, 1), (1, 1))
-        assert not divides((2, 0), (1, 1))
+        # u divides v iff every exponent of u is <= that of v: membership of v
+        # in the principal ideal (u)
+        for u, v, expected in [((1, 1), (2, 1), True), ((1, 1), (1, 1), True),
+                               ((2, 0), (1, 1), False)]:
+            assert all(a <= b for a, b in zip(u, v)) == expected
+            assert ideal(2, u).contains(v) == expected
 
     def test_divides_ambient_mismatch(self):
         with pytest.raises(ValueError):
-            divides((1,), (1, 1))
+            ideal(1, (1,)).contains((1, 1))
 
     def test_colon_mono(self):
         assert colon_mono((2, 1, 0), (1, 0, 1)) == (1, 1, 0)
@@ -84,7 +86,8 @@ class TestMinimalize:
             monomials = pool + rng.choices(pool, k=len(pool) // 2)  # duplicates
             distinct = set(monomials)
             expected = sorted(
-                u for u in distinct if not any(v != u and divides(v, u) for v in distinct)
+                u for u in distinct
+                if not any(v != u and all(a <= b for a, b in zip(v, u)) for v in distinct)
             )
             assert MonomialIdeal(n, monomials).gens == tuple(expected)
 
@@ -178,6 +181,49 @@ class TestIdealOps:
         assert one.colon((2, 5)) == one
         assert one.restrict((0, 0)) == one
         assert MonomialIdeal(2, []).colon((1, 0)).is_zero()
+
+
+def member_by_definition(i, u):
+    return any(all(a <= b for a, b in zip(g, u)) for g in i.gens)
+
+
+class TestPackedMembership:
+    """``contains`` runs on the packed view and clamps u to the field
+    capacity; it must agree with the definition everywhere."""
+
+    def test_matches_definition_on_seeded_ideals(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            i = MonomialIdeal(n, [tuple(rng.randint(0, 3) for _ in range(n))
+                                  for _ in range(rng.randint(0, 5))])
+            for _ in range(10):
+                u = tuple(rng.randint(0, 5) for _ in range(n))
+                assert i.contains(u) == member_by_definition(i, u), (i, u)
+
+    def test_far_above_the_top_exponent(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            i = MonomialIdeal(n, [tuple(rng.randint(0, 3) for _ in range(n))
+                                  for _ in range(rng.randint(1, 5))])
+            u = tuple(rng.choice((0, 1, 2, 3, 4, 8, 9, 100, 2**40)) for _ in range(n))
+            assert i.contains(u) == member_by_definition(i, u), (i, u)
+
+    def test_an_overflowing_exponent_does_not_carry(self):
+        # unclamped, the 8 would spill into the field of x1
+        assert not MonomialIdeal(2, [(1, 0)]).contains((0, 8))
+        assert MonomialIdeal(2, [(1, 0)]).contains((1, 8))
+
+    def test_unit_and_zero_ideals(self):
+        for u in [(0, 0), (3, 0), (2**40, 7)]:
+            assert MonomialIdeal(2, [(0, 0)]).contains(u)
+            assert not MonomialIdeal(2, []).contains(u)
+
+    def test_view_is_built_once_and_leaves_equality_alone(self):
+        i = ideal(2, (2, 0), (1, 1))
+        assert i._packed is i._packed
+        assert i == ideal(2, (1, 1), (2, 0)) and hash(i) == hash(ideal(2, (2, 0), (1, 1)))
 
 
 class TestRestrictOracle:

@@ -26,7 +26,7 @@ EXPORTS = {
                  "reduced_homology_ranks", "regularity"],
     "linquot": ["SearchCapExceeded", "all_bounded_powers_lq", "find_lq_ordering",
                 "has_colon_splitting_order", "is_lq_ordering", "restrict_lq_ordering"],
-    "monomials": ["BoundVector", "Monomial", "MonomialIdeal", "colon_mono", "degree", "divides",
+    "monomials": ["BoundVector", "Monomial", "MonomialIdeal", "colon_mono", "degree",
                   "is_bounded", "support"],
     "polymatroid": ["exchange_witness", "is_equigenerated", "is_matroidal", "is_polymatroidal"],
     "powers": ["bounded_power", "bounded_power_chain", "delta", "delta_bmatching",
@@ -62,7 +62,7 @@ def test_name_is_its_home_modules_object(module, name):
 
 
 def test_all_lists_the_names_and_no_submodule():
-    assert len(HOMES) == 51
+    assert len(HOMES) == 50
     assert sorted(boundedpowers.__all__) == sorted(name for _, name in HOMES)
     assert not set(boundedpowers.__all__) & set(SUBMODULES)
 
