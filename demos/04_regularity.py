@@ -11,7 +11,6 @@ from itertools import combinations
 
 from boundedpowers import (
     MonomialIdeal,
-    SimplicialComplex,
     betti_table,
     betti_table_hochster,
     betti_table_taylor,
@@ -46,7 +45,7 @@ print("  subset strands:", betti_table_taylor(polarized).entries)
 # plane's face ideal is the classical example (reg 3 over Q, 4 over F2).
 facets = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 4, 6),
           (2, 3, 4), (2, 3, 6), (2, 4, 5), (3, 5, 6), (4, 5, 6)]
-faces = set(SimplicialComplex.from_facets(facets).all_faces())
+faces = {sub for f in facets for k in range(len(f) + 1) for sub in combinations(f, k)}
 nonfaces = [
     tuple(1 if v in sub else 0 for v in range(1, 7))
     for size in range(1, 7)

@@ -12,14 +12,13 @@ layers it runs.
 
 # home module -> the names re-exported from it
 _EXPORTS = {
-    "connections": ("colon_generated_in_degree_two", "colon_quadrics", "edge_factorization",
-                    "even_connected_targets", "find_even_connection",
-                    "is_valid_even_connection"),
+    "connections": ("colon_quadrics", "edge_factorization", "even_connected_targets",
+                    "find_even_connection", "is_valid_even_connection"),
     "graphs": ("Graph", "Graph6Error", "complete_graph", "cycle_graph",
                "enumerate_labeled_graphs", "parse_graph6", "path_graph", "read_graph6_file"),
-    "homology": ("BettiTable", "SimplicialComplex", "betti_table", "betti_table_hochster",
-                 "betti_table_taylor", "has_linear_resolution", "polarize", "rank_of_rows",
-                 "reduced_homology_ranks", "regularity"),
+    "homology": ("BettiTable", "betti_table", "betti_table_hochster", "betti_table_taylor",
+                 "has_linear_resolution", "polarize", "rank_of_rows", "reduced_homology_ranks",
+                 "regularity"),
     "linquot": ("SearchCapExceeded", "all_bounded_powers_lq", "find_lq_ordering",
                 "has_colon_splitting_order", "is_lq_ordering", "restrict_lq_ordering"),
     "monomials": ("BoundVector", "Monomial", "MonomialIdeal", "colon_mono", "degree",

@@ -33,7 +33,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     _check_monomial,
-    degree,
     is_bounded,
 )
 
@@ -223,14 +222,3 @@ def colon_quadrics(
             q[j - 1] += 1
             quadrics.append(tuple(q))
     return MonomialIdeal(graph.n, quadrics)
-
-
-def colon_generated_in_degree_two(power: MonomialIdeal, nxt: MonomialIdeal) -> bool:
-    """Whether ``nxt : u`` is generated purely in degree two for every minimal
-    generator u of ``power``.  ``power, nxt`` are consecutive bounded powers
-    (I(G)^s)_c, (I(G)^{s+1})_c with 1 <= s <= delta - 1: ``chain[s - 1],
-    chain[s]`` of ``bounded_power_chain(graph.edge_ideal(), c)``."""
-    for u in power.gens:
-        if any(degree(w) != 2 for w in nxt.colon(u).gens):
-            return False
-    return True

@@ -37,8 +37,8 @@ in no facet with v, and drops every boundary entry that lands in the star.
 The empty face is in the star, so there is no augmentation: the boundary of
 the vertex level has rank 0.  A complex with no cell is a cone, and a point
 whose only facet is the empty face is a generator, worth one beta_0.  No
-tuple face and no ``SimplicialComplex`` is built on this path; that type
-serves the restriction-complex route.
+tuple face is built on this path; tuple faces, closed downward by
+``reduced_homology_ranks``, serve the restriction-complex route.
 """
 
 from __future__ import annotations
@@ -59,55 +59,6 @@ from .monomials import (
 )
 
 TAYLOR_GENERATOR_CAP = 14
-
-
-class SimplicialComplex:
-    """An abstract simplicial complex as an explicit face list.
-
-    The void complex (no faces at all) and the empty complex (only the empty
-    face) are distinguished; reduced homology of the empty complex is one copy
-    of the field in dimension -1.
-    """
-
-    def __init__(self, faces: Iterable[Sequence[int]]):
-        by_dim: dict[int, set[tuple[int, ...]]] = {}
-        for face in faces:
-            f = tuple(sorted(set(face)))
-            by_dim.setdefault(len(f) - 1, set()).add(f)
-        self._by_dim = {d: sorted(fs) for d, fs in sorted(by_dim.items())}
-
-    @classmethod
-    def from_facets(cls, facets: Iterable[Sequence[int]]) -> "SimplicialComplex":
-        """Downward closure of the given faces."""
-        closed: set[tuple[int, ...]] = set()
-        stack = [tuple(sorted(set(f))) for f in facets]
-        while stack:
-            f = stack.pop()
-            if f in closed:
-                continue
-            closed.add(f)
-            for k in range(len(f)):
-                stack.append(f[:k] + f[k + 1 :])
-        return cls(closed)
-
-    def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
-        return self._by_dim.get(d, [])
-
-    def all_faces(self) -> list[tuple[int, ...]]:
-        return [f for d in sorted(self._by_dim) for f in self._by_dim[d]]
-
-    def is_void(self) -> bool:
-        return not self._by_dim
-
-    def dim(self) -> int:
-        """Dimension of the complex; -1 for the empty complex, -2 for void."""
-        return max(self._by_dim, default=-2)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SimplicialComplex) and self._by_dim == other._by_dim
-
-    def __repr__(self) -> str:
-        return f"SimplicialComplex({self.all_faces()!r})"
 
 
 def _reduced(row: Mapping[int, int], char: int) -> dict[int, int]:
@@ -150,44 +101,45 @@ def rank_of_rows(rows: Iterable[Mapping[int, int]], char: int = 0) -> int:
     return rank
 
 
-def _boundary_rows(
-    complex_: SimplicialComplex, k: int
-) -> list[dict[int, int]]:
-    """Rows of the boundary map from k-faces to (k-1)-faces, one row per
-    k-face (rank is transpose-invariant)."""
-    sources = complex_.faces_of_dim(k)
-    targets = {f: i for i, f in enumerate(complex_.faces_of_dim(k - 1))}
-    rows = []
-    for f in sources:
-        row: dict[int, int] = {}
-        for t in range(len(f)):
-            sub = f[:t] + f[t + 1 :]
-            if sub not in targets:
-                raise ValueError(f"complex is not closed under subsets: missing {sub}")
-            row[targets[sub]] = 1 if t % 2 == 0 else -1
-        rows.append(row)
-    return rows
+def _closure(facets: Iterable[Sequence[int]]) -> dict[int, list[tuple[int, ...]]]:
+    """The faces of the complex the given faces span, each a sorted tuple,
+    grouped by dimension in sorted order; no faces at all is the void complex."""
+    closed: set[tuple[int, ...]] = set()
+    stack = [tuple(sorted(set(f))) for f in facets]
+    while stack:
+        f = stack.pop()
+        if f in closed:
+            continue
+        closed.add(f)
+        for k in range(len(f)):
+            stack.append(f[:k] + f[k + 1 :])
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for f in sorted(closed):
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    return by_dim
 
 
 def reduced_homology_ranks(
-    complex_: SimplicialComplex, char: int = 0
+    facets: Iterable[Sequence[int]], char: int = 0
 ) -> dict[int, int]:
-    """Dimensions of reduced homology in every degree -1..dim."""
-    if complex_.is_void():
+    """Dimensions of reduced homology in every degree -1..dim of the complex
+    the given faces span.  ``[]`` is the void complex, with no homology at
+    all; ``[()]`` is the empty complex, one copy of the field in degree -1."""
+    by_dim = _closure(facets)
+    if not by_dim:
         return {}
-    top = complex_.dim()
-    boundary_rank = {}
-    for k in range(0, top + 1):
-        boundary_rank[k] = rank_of_rows(_boundary_rows(complex_, k), char)
-    boundary_rank[top + 1] = 0
-    ranks = {}
-    for i in range(-1, top + 1):
-        ranks[i] = (
-            len(complex_.faces_of_dim(i))
-            - boundary_rank.get(i, 0)
-            - boundary_rank[i + 1]
-        )
-    return ranks
+    top = max(by_dim)
+    # one boundary row per k-face (rank is transpose-invariant)
+    boundary_rank = {top + 1: 0}
+    for k in range(top + 1):
+        targets = {f: i for i, f in enumerate(by_dim[k - 1])}
+        rows = [{targets[f[:t] + f[t + 1 :]]: 1 if t % 2 == 0 else -1 for t in range(len(f))}
+                for f in by_dim[k]]
+        boundary_rank[k] = rank_of_rows(rows, char)
+    return {
+        i: len(by_dim[i]) - boundary_rank.get(i, 0) - boundary_rank[i + 1]
+        for i in range(-1, top + 1)
+    }
 
 
 def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -374,7 +326,7 @@ def betti_table_hochster(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
             tau = frozenset(v for t, v in enumerate(verts) if mask >> t & 1)
             if not any(s <= tau for s in inside):
                 faces.append(tuple(sorted(tau)))
-        ranks = reduced_homology_ranks(SimplicialComplex(faces), char)
+        ranks = reduced_homology_ranks(faces, char)
         j = len(sigma)
         for k, h in ranks.items():
             i = j - k - 2

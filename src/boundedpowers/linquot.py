@@ -20,7 +20,6 @@ from .monomials import (
     BoundVector,
     MonomialIdeal,
     _check_monomial,
-    colon_mono,
     degree,
     is_bounded,
     lcm,
@@ -41,18 +40,12 @@ def _check_permutation(ideal: MonomialIdeal, order: tuple[int, ...]) -> None:
 
 
 def is_lq_ordering(ideal: MonomialIdeal, order: tuple[int, ...]) -> bool:
-    """True iff the given generator ordering has linear quotients."""
+    """True iff the given generator ordering has linear quotients, checked
+    from the definition: each prefix colon ideal has only degree-1 generators."""
     _check_permutation(ideal, order)
-    gens = ideal.gens
-    for pos in range(1, len(order)):
-        i = order[pos]
-        prefix = order[:pos]
-        colons = [colon_mono(gens[j], gens[i]) for j in prefix]
-        var_colons = [w for w in colons if degree(w) == 1]
-        for w in colons:
-            if not any(all(a >= b for a, b in zip(w, v)) for v in var_colons):
-                return False
-    return True
+    gens = [ideal.gens[i] for i in order]
+    return all(degree(w) == 1 for i in range(1, len(gens))
+               for w in MonomialIdeal(ideal.n, gens[:i]).colon(gens[i]).gens)
 
 
 def search_ordering(

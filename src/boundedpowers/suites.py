@@ -46,7 +46,7 @@ from .linquot import (
     is_lq_ordering,
     restrict_lq_ordering,
 )
-from .monomials import MonomialIdeal, check_characteristic
+from .monomials import MonomialIdeal, check_characteristic, degree
 from .powers import bounded_power_chain
 
 # the largest nmax: the corpus holds every labeled graph on up to nmax
@@ -418,9 +418,8 @@ def _check_regcol(inst: _Instance, s: int) -> dict:
 
 
 def _check_deg2(inst: _Instance, s: int) -> dict:
-    from .connections import colon_generated_in_degree_two
-
-    ok = colon_generated_in_degree_two(inst.chain[s - 1], inst.chain[s])
+    nxt = inst.chain[s]
+    ok = all(degree(w) == 2 for u in inst.chain[s - 1].gens for w in nxt.colon(u).gens)
     detail = "all colon generators have degree 2" if ok else "colon generator of degree != 2"
     return inst.record(ok, detail, s)
 

@@ -457,6 +457,7 @@ class TestStartup:
         "edge-lq": ("linquot", {"homology", "connections", "polymatroid"}),
         "banerjee-colon": ("connections", {"homology", "polymatroid"}),
         "regmain": ("homology", {"connections", "polymatroid"}),
+        "deg2": ("powers", {"homology", "connections", "polymatroid"}),
     }
 
     @pytest.mark.parametrize("suite", LAYERS)

@@ -17,7 +17,6 @@ import pytest
 from boundedpowers import (
     BettiTable,
     MonomialIdeal,
-    SimplicialComplex,
     betti_table,
     betti_table_hochster,
     betti_table_taylor,
@@ -31,6 +30,7 @@ from boundedpowers import (
     reduced_homology_ranks,
     regularity,
 )
+from boundedpowers import homology
 from boundedpowers.homology import (
     _faces,
     _koszul_facets,
@@ -157,53 +157,46 @@ def koszul_faces(ideal, m):
     return sorted(faces, key=lambda f: (len(f), f))
 
 
-class TestSimplicialComplex:
-    def test_void_vs_empty(self):
-        void = SimplicialComplex([])
-        empty = SimplicialComplex([()])
-        assert void.is_void() and not empty.is_void()
-        assert void.dim() == -2 and empty.dim() == -1
-        assert void != empty
-
-    def test_from_facets_closes(self):
-        c = SimplicialComplex.from_facets([(1, 2, 3)])
-        assert len(c.all_faces()) == 8
-
-    def test_normalization(self):
-        assert SimplicialComplex([(2, 1), (1, 2)]).faces_of_dim(1) == [(1, 2)]
-
-
 class TestHomologyRank:
+    """``reduced_homology_ranks`` takes any faces and closes them downward."""
+
     def test_circle(self):
-        boundary = SimplicialComplex.from_facets([(1, 2), (1, 3), (2, 3)])
-        assert reduced_homology_ranks(boundary) == {-1: 0, 0: 0, 1: 1}
+        assert reduced_homology_ranks([(1, 2), (1, 3), (2, 3)]) == {-1: 0, 0: 0, 1: 1}
 
     def test_cone_contractible(self):
-        cone = SimplicialComplex.from_facets([(1, 2, 3)])
-        assert reduced_homology_ranks(cone) == {-1: 0, 0: 0, 1: 0, 2: 0}
+        assert reduced_homology_ranks([(1, 2, 3)]) == {-1: 0, 0: 0, 1: 0, 2: 0}
 
     def test_two_points(self):
-        assert reduced_homology_ranks(SimplicialComplex.from_facets([(1,), (2,)])) == {-1: 0, 0: 1}
+        assert reduced_homology_ranks([(1,), (2,)]) == {-1: 0, 0: 1}
 
     def test_empty_complex(self):
-        assert reduced_homology_ranks(SimplicialComplex([()])) == {-1: 1}
+        assert reduced_homology_ranks([()]) == {-1: 1}
 
     def test_void_complex(self):
-        assert reduced_homology_ranks(SimplicialComplex([])) == {}
+        assert reduced_homology_ranks([]) == {}
 
-    def test_non_closed_complex_rejected(self):
-        with pytest.raises(ValueError, match="not closed"):
-            reduced_homology_ranks(SimplicialComplex([(1, 2)]))
+    def test_a_face_brings_its_subsets(self):
+        # an edge alone spans the edge with its two vertices and the empty face
+        assert reduced_homology_ranks([(1, 2)]) == {-1: 0, 0: 0, 1: 0}
+
+    @pytest.mark.parametrize("faces", [[(1, 2), (2, 1)], [(2, 1, 1)], [(1, 2), (1,), ()]],
+                             ids=["reordered", "repeated-vertex", "with-subfaces"])
+    def test_faces_are_normalized(self, faces):
+        assert reduced_homology_ranks(faces) == reduced_homology_ranks([(1, 2)])
 
     def test_sphere(self):
-        sphere = SimplicialComplex.from_facets(list(combinations(range(1, 5), 3)))
+        sphere = list(combinations(range(1, 5), 3))
         assert reduced_homology_ranks(sphere) == {-1: 0, 0: 0, 1: 0, 2: 1}
 
     def test_projective_plane_depends_on_characteristic(self):
-        rp2 = SimplicialComplex.from_facets(PROJECTIVE_PLANE_FACETS)
+        rp2 = PROJECTIVE_PLANE_FACETS
         assert reduced_homology_ranks(rp2, 0) == {-1: 0, 0: 0, 1: 0, 2: 0}
         assert reduced_homology_ranks(rp2, 2) == {-1: 0, 0: 0, 1: 1, 2: 1}
         assert reduced_homology_ranks(rp2, 3) == {-1: 0, 0: 0, 1: 0, 2: 0}
+
+    def test_takes_any_iterable_of_faces(self):
+        facets = iter(PROJECTIVE_PLANE_FACETS)
+        assert reduced_homology_ranks(facets, 2) == {-1: 0, 0: 0, 1: 1, 2: 1}
 
 
 class TestRankOfRows:
@@ -350,17 +343,19 @@ class TestBettiTable:
             betti_table(MonomialIdeal(2, []))
 
     def test_builds_no_tuple_complex(self, monkeypatch):
-        # the production path works on face masks; SimplicialComplex serves
-        # the restriction-complex route alone
-        def refuse(self, faces):
-            raise AssertionError("betti_table built a SimplicialComplex")
+        # the production path works on face masks; tuple faces serve the
+        # restriction-complex route alone
+        def refuse(facets):
+            raise AssertionError("betti_table closed a tuple complex")
 
         rng = random.Random(131)
         ideals = [random_ideal(rng) for _ in range(10)] + [cycle_graph(5).edge_ideal()]
-        monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+        monkeypatch.setattr(homology, "_closure", refuse)
         for ideal in ideals:
             assert betti_table(ideal).entries
             assert regularity(ideal, 2) >= 1
+        with pytest.raises(AssertionError, match="tuple complex"):
+            betti_table_hochster(cycle_graph(5).edge_ideal())
 
     def test_json_round_trip(self):
         table = betti_table(path_graph(4).edge_ideal())
@@ -422,9 +417,8 @@ class TestRegularity:
             has_linear_resolution(MonomialIdeal(2, [(1, 0), (0, 2)]))
 
     def test_characteristic_dependence(self):
-        face_set = set(
-            SimplicialComplex.from_facets(PROJECTIVE_PLANE_FACETS).all_faces()
-        )
+        face_set = {sub for f in PROJECTIVE_PLANE_FACETS
+                    for k in range(len(f) + 1) for sub in combinations(f, k)}
         nonfaces = [
             tuple(1 if v in sub else 0 for v in range(1, 7))
             for size in range(1, 7)
