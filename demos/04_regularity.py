@@ -24,7 +24,7 @@ from boundedpowers import (
 )
 
 I = path_graph(4).edge_ideal()
-print("I(P4) Betti table:", betti_table(I).entries)
+print("I(P4) Betti table {(i, j): beta}:", betti_table(I))
 print("regularity:", regularity(I), "-> linear resolution:", has_linear_resolution(I))
 print("I(C5) regularity:", regularity(cycle_graph(5).edge_ideal()))
 
@@ -37,9 +37,9 @@ print("regularity preserved:", regularity(J), "=", regularity(polarized))
 
 # Cross-validation: three independent computations of one table.
 print("\nthree routes on the polarized ideal:")
-print("  upper Koszul:", betti_table(polarized).entries)
-print("  restrictions:", betti_table_hochster(polarized).entries)
-print("  subset strands:", betti_table_taylor(polarized).entries)
+print("  upper Koszul:", betti_table(polarized))
+print("  restrictions:", betti_table_hochster(polarized))
+print("  subset strands:", betti_table_taylor(polarized))
 
 # Regularity can depend on the coefficient field: the 6-vertex projective
 # plane's face ideal is the classical example (reg 3 over Q, 4 over F2).

@@ -16,7 +16,7 @@ _EXPORTS = {
                     "find_even_connection", "is_valid_even_connection"),
     "graphs": ("Graph", "Graph6Error", "complete_graph", "cycle_graph",
                "enumerate_labeled_graphs", "parse_graph6", "path_graph", "read_graph6_file"),
-    "homology": ("BettiTable", "betti_table", "betti_table_hochster", "betti_table_taylor",
+    "homology": ("betti_table", "betti_table_hochster", "betti_table_taylor",
                  "has_linear_resolution", "polarize", "rank_of_rows", "reduced_homology_ranks",
                  "regularity"),
     "linquot": ("SearchCapExceeded", "all_bounded_powers_lq", "find_lq_ordering",

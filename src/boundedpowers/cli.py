@@ -74,7 +74,8 @@ def _cmd_ideal(args) -> int:
     elif args.op == "colon":
         result = ideal.colon(_parse_vector(args.u)).to_json()
     elif args.op == "betti":
-        result = betti_table(ideal, args.char).to_json()
+        entries = [[i, j, b] for (i, j), b in betti_table(ideal, args.char).items()]
+        result = json.dumps({"char": args.char, "entries": entries})
     else:  # reg
         result = json.dumps({"regularity": regularity(ideal, args.char), "char": args.char})
     _write_output(args, result)
@@ -147,7 +148,7 @@ def _cmd_colon_quadrics(args) -> int:
     graph = _load_graph(_read_input(args))
     c = _parse_vector(args.c)
     u = _parse_vector(args.u)
-    _write_output(args, colon_quadrics(graph, args.s, c, u).to_json())
+    _write_output(args, colon_quadrics(graph, c, u).to_json())
     return 0
 
 
@@ -206,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cq = sub.add_parser("colon-quadrics",
                           help="quadric description of a bounded-power colon (graph input)")
-    p_cq.add_argument("--s", type=int, required=True)
     p_cq.add_argument("--c", required=True)
-    p_cq.add_argument("--u", required=True, help="generator of the s-th bounded power")
+    p_cq.add_argument("--u", required=True,
+                      help="generator of the s-th bounded power, s = deg(u) / 2")
     _add_io_options(p_cq)
     p_cq.set_defaults(func=_cmd_colon_quadrics)
 
@@ -216,12 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a theorem-verification suite",
                               argument_default=argparse.SUPPRESS)
     p_verify.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
-    p_verify.add_argument("--nmax", type=int,
-                          help="enumerate all labeled graphs on 1..N vertices, N <= 7")
+    p_verify.add_argument("--nmax", type=int, help="enumerate all labeled graphs on 1..N "
+                          "vertices, N <= 7 (N = 4 when no corpus flag is given)")
     p_verify.add_argument("--graph6", dest="graph6_path", metavar="FILE",
                           help="corpus file of graph6 lines")
     p_verify.add_argument("--count", dest="random_count", metavar="N", type=int,
-                          help="random corpus size")
+                          help="random corpus size (boston and istanbul: 100 if not given)")
     p_verify.add_argument("--random-nmax", type=int, help="vertex cap for random corpora")
     p_verify.add_argument("--c-policy", choices=C_POLICIES)
     p_verify.add_argument("--c-value", type=int,

@@ -6,7 +6,7 @@ multiset of s edges when there is a walk a = p_0, p_1, ..., p_{2r+1} = b,
 r >= 1, all of whose steps are edges of the graph, whose r interior odd pairs
 {p_{2k+1}, p_{2k+2}} are edges from the multiset, each distinct edge used at
 most its multiplicity.  These pairs, together with actual edges, generate the
-colon of the next bounded power by a generator of the current one.
+colon of the next bounded power by a generator u of the current one, of degree 2s.
 
 An edge multiset is held as one sorted map {edge: multiplicity}, from
 ``edge_factorization`` to the search, so its size is the number of distinct
@@ -124,19 +124,19 @@ def even_connected_targets(graph: Graph, edges: Sequence[Edge], a: int) -> set[i
     return _targets(_even_walks(graph, _edge_counts(graph, edges), a))
 
 
-def edge_factorization(graph: Graph, s: int, u: Monomial) -> dict[Edge, int] | None:
-    """The lexicographically smallest multiset of s edges with product u, as a
-    sorted map {edge: multiplicity}, or None.
+def edge_factorization(graph: Graph, u: Monomial) -> dict[Edge, int] | None:
+    """The lexicographically smallest multiset of edges with product u (so of
+    deg(u) / 2 edges), as a sorted map {edge: multiplicity}, or None.
 
     Depth-first over the sorted edges, with an explicit stack, trying the most
     copies of each edge first; the first complete branch is therefore the
-    smallest multiset.  The depth is the number of edges, not s.  The sorted
-    edges at a vertex come in the order of its neighbors, so the edge to its
-    largest neighbor is its last one, and must take all that is left there:
+    smallest multiset.  The depth is the number of edges, not deg(u) / 2.  The
+    sorted edges at a vertex come in the order of its neighbors, so the edge to
+    its largest neighbor is its last one, and must take all that is left there:
     that edge has one choice only, and no branch ends with anything left.
     """
     u = _check_monomial(graph.n, u)
-    if sum(u) != 2 * s:
+    if sum(u) % 2:
         return None
     adjacency = graph.adjacency
     edges = graph.sorted_edges()
@@ -166,44 +166,27 @@ def edge_factorization(graph: Graph, s: int, u: Monomial) -> dict[Edge, int] | N
     return {e: m for e, m in zip(edges, chosen) if m}
 
 
-def colon_quadrics(
-    graph: Graph,
-    s: int,
-    c: BoundVector,
-    u: Monomial,
-    factorization: Sequence[Edge] | None = None,
-) -> MonomialIdeal:
+def colon_quadrics(graph: Graph, c: BoundVector, u: Monomial) -> MonomialIdeal:
     """The colon of (I(G)^{s+1})_c by u, assembled from quadrics.
 
-    u must be a minimal generator of (I(G)^s)_c (so in particular s <= delta).
-    That ideal is generated in the single degree 2s, where no generator divides
-    another, so u is one iff u <= c and u is a product of s graph edges.  Its
-    edge multiset is ``edge_factorization(graph, s, u)``, unless an explicit
-    witness ``factorization``, a sequence of s graph edges, is supplied (the
-    result must not depend on the chosen witness; passing different ones
-    exercises that).  The output is generated by the monomials x_i*x_j (i = j
-    allowed) such that u*x_i*x_j stays c-bounded and x_i, x_j are adjacent or
-    even-connected with respect to that multiset.  Agreement with the directly
-    computed colon ideal is the content of the corresponding verification
-    suite; at s = delta both sides are empty, so the description degenerates
-    consistently.
+    u must be a minimal generator of (I(G)^s)_c with s = deg(u) / 2 >= 1, so
+    s <= delta.  That ideal is generated in the single degree 2s, where no
+    generator divides another, so u is one iff u <= c and u is a product of s
+    graph edges.  Its edge multiset is ``edge_factorization(graph, u)``; the
+    result does not depend on that choice.  The output is generated by the
+    monomials x_i*x_j (i = j allowed) such that u*x_i*x_j stays c-bounded and
+    x_i, x_j are adjacent or even-connected with respect to that multiset.
+    Agreement with the directly computed colon ideal is the content of the
+    corresponding verification suite; at s = delta both sides are empty, so
+    the description degenerates consistently.
     """
     c = _check_monomial(graph.n, c)
     u = _check_monomial(graph.n, u)
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if factorization is None:
-        counts = edge_factorization(graph, s, u)
-    else:
-        counts = _edge_counts(graph, factorization)
-        degrees = [0] * graph.n
-        for (i, j), m in counts.items():
-            degrees[i - 1] += m
-            degrees[j - 1] += m
-        if sum(counts.values()) != s or tuple(degrees) != u:
-            raise ValueError("supplied factorization is not s graph edges multiplying to u")
+    if not any(u):
+        raise ValueError("u must have positive degree: s = deg(u) / 2 must be >= 1")
+    counts = edge_factorization(graph, u)
     if counts is None or not is_bounded(u, c):
-        raise ValueError("u is not a minimal generator of the s-th bounded power")
+        raise ValueError("u is not a minimal generator of a bounded power")
     quadrics = []
     for i in range(1, graph.n + 1):
         targets = None  # searched only once some pair (i, j) needs it

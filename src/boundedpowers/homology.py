@@ -9,7 +9,8 @@ row first, a +-1 pivot entry if there is one), reduced mod p in prime
 characteristic and divided by row contents in characteristic 0.  Two further
 routes to the same table exist for cross-validation: restriction-complex
 homology on squarefree ideals and the degreewise strands of the full
-generator-subset resolution.
+generator-subset resolution.  Each route returns the nonzero beta_{i,j} as a
+plain map {(i, j): beta} in sorted key order.
 
 ``betti_table`` runs on the ideal's packed view (``MonomialIdeal._packed``),
 whose ``w``-bit fields have room for one more than the largest exponent; the
@@ -43,8 +44,6 @@ tuple face is built on this path; tuple faces, closed downward by
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from math import gcd as _gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -125,6 +124,7 @@ def reduced_homology_ranks(
     """Dimensions of reduced homology in every degree -1..dim of the complex
     the given faces span.  ``[]`` is the void complex, with no homology at
     all; ``[()]`` is the empty complex, one copy of the field in degree -1."""
+    check_characteristic(char)
     by_dim = _closure(facets)
     if not by_dim:
         return {}
@@ -220,35 +220,15 @@ def _mask_boundary_rows(level: list[int], cells: set[int]) -> list[dict[int, int
     return rows
 
 
-@dataclass(frozen=True)
-class BettiTable:
-    """Graded Betti numbers beta_{i,j} with the field characteristic recorded.
-
-    ``entries`` holds the nonzero values as (i, j, beta) sorted by (i, j).
-    """
-
-    char: int
-    entries: tuple[tuple[int, int, int], ...]
-
-    @classmethod
-    def from_dict(cls, char: int, table: Mapping[tuple[int, int], int]) -> "BettiTable":
-        entries = tuple(
-            (i, j, b) for (i, j), b in sorted(table.items()) if b
-        )
-        if any(b < 0 for _, _, b in entries):
-            raise ValueError("Betti numbers must be nonnegative")
-        return cls(char, entries)
-
-    def regularity(self) -> int:
-        if not self.entries:
-            raise ValueError("empty Betti table has no regularity")
-        return max(j - i for i, j, _ in self.entries)
-
-    def to_json(self) -> str:
-        return json.dumps({"char": self.char, "entries": [list(e) for e in self.entries]})
+def _betti_map(table: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The nonzero Betti numbers of ``table`` as {(i, j): beta} in sorted key order."""
+    betti = {key: b for key, b in sorted(table.items()) if b}
+    if any(b < 0 for b in betti.values()):
+        raise ValueError("Betti numbers must be nonnegative")
+    return betti
 
 
-def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
+def betti_table(ideal: MonomialIdeal, char: int = 0) -> dict[tuple[int, int], int]:
     """Graded Betti numbers of the ideal via upper Koszul complex homology,
     summed over the multidegrees of the lcm lattice: beta_{i,m} is the
     reduced homology of the complex at m in degree i - 1."""
@@ -279,12 +259,12 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
             h = len(level) - ranks.get(k, 0) - ranks.get(k + 1, 0)
             if h:
                 table[(k, j)] = table.get((k, j), 0) + h
-    return BettiTable.from_dict(char, table)
+    return _betti_map(table)
 
 
 def regularity(ideal: MonomialIdeal, char: int = 0) -> int:
     """max(j - i) over the nonzero Betti numbers of the ideal (not the quotient)."""
-    return betti_table(ideal, char).regularity()
+    return max(j - i for i, j in betti_table(ideal, char))
 
 
 def has_linear_resolution(ideal: MonomialIdeal, char: int = 0) -> bool:
@@ -297,7 +277,7 @@ def has_linear_resolution(ideal: MonomialIdeal, char: int = 0) -> bool:
     return regularity(ideal, char) == degrees.pop()
 
 
-def betti_table_hochster(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
+def betti_table_hochster(ideal: MonomialIdeal, char: int = 0) -> dict[tuple[int, int], int]:
     """Betti numbers of a squarefree ideal from homology of restrictions of its
     face complex: an independent route used to cross-validate betti_table.
 
@@ -332,10 +312,10 @@ def betti_table_hochster(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
             i = j - k - 2
             if h and i >= 0:
                 table[(i, j)] = table.get((i, j), 0) + h
-    return BettiTable.from_dict(char, table)
+    return _betti_map(table)
 
 
-def betti_table_taylor(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
+def betti_table_taylor(ideal: MonomialIdeal, char: int = 0) -> dict[tuple[int, int], int]:
     """Betti numbers from the degreewise strands of the generator-subset
     resolution: the third independent route, practical for few generators.
 
@@ -387,4 +367,4 @@ def betti_table_taylor(ideal: MonomialIdeal, char: int = 0) -> BettiTable:
             h = len(level) - boundary_rank.get(size, 0) - boundary_rank.get(size + 1, 0)
             if h:
                 table[(i, j)] = table.get((i, j), 0) + h
-    return BettiTable.from_dict(char, table)
+    return _betti_map(table)

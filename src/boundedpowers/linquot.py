@@ -48,10 +48,8 @@ def is_lq_ordering(ideal: MonomialIdeal, order: tuple[int, ...]) -> bool:
                for w in MonomialIdeal(ideal.n, gens[:i]).colon(gens[i]).gens)
 
 
-def search_ordering(
-    m: int, needs: list[list[int]], var_bits: list[list[int]]
-) -> tuple[int, ...] | None:
-    """Backtracking search for an ordering of 0..m-1 subject to pair conditions.
+def search_ordering(needs: list[list[int]], var_bits: list[list[int]]) -> tuple[int, ...] | None:
+    """Backtracking search for an ordering of 0..m-1, m = len(needs), by pair conditions.
 
     Element i may follow the placed set S iff for every j in S the mask
     ``needs[j][i]`` is 0 (the pair is met in advance) or shares a bit with
@@ -64,6 +62,7 @@ def search_ordering(
     variables in any fixed layout: ``_lq_pair_data`` puts each variable at its
     field's guard-bit position, not at its variable index.
     """
+    m = len(needs)
     full = (1 << m) - 1
     failed: set[int] = set()
     order: list[int] = []
@@ -142,7 +141,7 @@ def find_lq_ordering(
     more than ``max_generators`` generators are refused via SearchCapExceeded.
     """
     _check_cap(len(ideal.gens), max_generators, "linear quotients")
-    return search_ordering(len(ideal.gens), *_lq_pair_data(ideal))
+    return search_ordering(*_lq_pair_data(ideal))
 
 
 def has_colon_splitting_order(
@@ -164,7 +163,7 @@ def has_colon_splitting_order(
     for i, j in combinations(range(len(gens)), 2):
         if nxt.contains(lcm(gens[i], gens[j])):
             needs[i][j] = needs[j][i] = 0
-    return search_ordering(len(gens), needs, var_bits) is not None
+    return search_ordering(needs, var_bits) is not None
 
 
 def restrict_lq_ordering(

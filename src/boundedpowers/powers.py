@@ -51,6 +51,8 @@ def bounded_power(ideal: MonomialIdeal, s: int, c: BoundVector) -> MonomialIdeal
     if s < 1:
         raise ValueError(f"bounded_power wants s >= 1, got {s}")
     c = _check_monomial(ideal.n, c)
+    if ideal.is_unit():
+        return ideal  # every power of the unit ideal is the unit ideal
     levels = _bounded_levels(ideal, c, s)
     return levels[s - 1] if len(levels) == s else MonomialIdeal(ideal.n, ())
 

@@ -430,7 +430,7 @@ def _check_banerjee_colon(inst: _Instance, s: int) -> dict:
     current, nxt = inst.chain[s - 1], inst.chain[s]
     for u in current.gens:
         direct = nxt.colon(u)
-        quadric = colon_quadrics(inst.graph, s, inst.c, u)
+        quadric = colon_quadrics(inst.graph, inst.c, u)
         if direct != quadric:
             detail = f"u={list(u)} direct={direct.to_json()} quadrics={quadric.to_json()}"
             return inst.record(False, detail, s)

@@ -146,14 +146,21 @@ class TestOtherCommands:
         src = write(tmp_path, "g.json", P4_JSON)
         code, out, _ = run(
             capsys,
-            ["colon-quadrics", "--s", "1", "--c", "1,1,1,1", "--u", "0,1,1,0", "--in", src],
+            ["colon-quadrics", "--c", "1,1,1,1", "--u", "0,1,1,0", "--in", src],
         )
-        assert code == 0 and json.loads(out)["gens"] == [[1, 0, 0, 1]]
+        assert code == 0 and out.strip() == '{"n": 4, "gens": [[1, 0, 0, 1]]}'
+
+    def test_colon_quadrics_reads_s_off_u(self, tmp_path, capsys):
+        # s = deg(u) / 2, so there is no --s to disagree with u
+        src = write(tmp_path, "g.json", P4_JSON)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["colon-quadrics", "--s", "1", "--c", "1,1,1,1", "--u", "0,1,1,0", "--in", src])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --s" in capsys.readouterr().err
 
     def test_colon_quadrics_at_a_large_power(self, capsys, monkeypatch):
         code, out, _ = run(
-            capsys, ["colon-quadrics", "--s", "1000000", "--c", "1000001,1000001",
-                     "--u", "1000000,1000000"],
+            capsys, ["colon-quadrics", "--c", "1000001,1000001", "--u", "1000000,1000000"],
             stdin="A_\n", monkeypatch=monkeypatch,
         )
         assert code == 0 and json.loads(out)["gens"] == [[1, 1]]
@@ -347,7 +354,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("argv, text", [
         (["ideal", "restrict", "--c", "1,,1"], '{"n": 2, "gens": [[1, 1]]}'),
         (["lq", "check", "--order", "0,,"], '{"n": 2, "gens": [[1, 1]]}'),
-        (["colon-quadrics", "--s", "1", "--c", "1,1,1,1", "--u", "0,1,1,"], P4_JSON),
+        (["colon-quadrics", "--c", "1,1,1,1", "--u", "0,1,1,"], P4_JSON),
     ])
     def test_empty_vector_entry(self, capsys, monkeypatch, argv, text):
         code, out, err = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
@@ -376,7 +383,7 @@ class TestErrorHandling:
     GRAPH_COMMANDS = [
         ["graph", "complement"],
         ["delta", "--c", "1,1,1"],
-        ["colon-quadrics", "--s", "1", "--c", "1,1,1", "--u", "1,1,0"],
+        ["colon-quadrics", "--c", "1,1,1", "--u", "1,1,0"],
     ]
 
     @pytest.mark.parametrize("command", GRAPH_COMMANDS)

@@ -22,6 +22,7 @@ from boundedpowers import (
     even_connected_targets,
     find_even_connection,
     has_colon_splitting_order,
+    is_bounded,
     is_valid_even_connection,
     path_graph,
 )
@@ -83,7 +84,7 @@ class TestFindEvenConnection:
     def test_unknown_vertex(self):
         with pytest.raises(ValueError):
             find_even_connection(path_graph(3), [(1, 2)], 1, 9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not one of the graph edges"):
             find_even_connection(path_graph(3), [(1, 3)], 1, 2)
         with pytest.raises(ValueError):
             even_connected_targets(path_graph(3), [(1, 2)], 9)
@@ -210,10 +211,12 @@ class TestTwoUseCap:
         assert two == many
 
 
-def first_multiset(g, s, u):
-    """The first multiset of s sorted edges, in lexicographic order, whose
-    product is u, as a multiplicity map; None if there is none."""
-    for multiset in combinations_with_replacement(g.sorted_edges(), s):
+def first_multiset(g, u):
+    """The first multiset of deg(u) / 2 sorted edges, in lexicographic order,
+    whose product is u, as a multiplicity map; None if there is none."""
+    if sum(u) % 2:
+        return None
+    for multiset in combinations_with_replacement(g.sorted_edges(), sum(u) // 2):
         if all(sum(v in e for e in multiset) == a for v, a in enumerate(u, 1)):
             return dict(Counter(multiset))
     return None
@@ -223,23 +226,28 @@ class TestEdgeFactorization:
     def test_lexicographically_smallest(self):
         g = cycle_graph(4)
         u = (1, 1, 1, 1)
-        assert edge_factorization(g, 2, u) == {(1, 2): 1, (3, 4): 1}
+        assert edge_factorization(g, u) == {(1, 2): 1, (3, 4): 1}
 
     def test_repeated_edge(self):
         g = complete_graph(2)
-        assert edge_factorization(g, 2, (2, 2)) == {(1, 2): 2}
+        assert edge_factorization(g, (2, 2)) == {(1, 2): 2}
 
     def test_no_factorization(self):
-        assert edge_factorization(path_graph(3), 1, (1, 0, 1)) is None
+        assert edge_factorization(path_graph(3), (1, 0, 1)) is None
+
+    def test_odd_degree_has_none(self):
+        assert edge_factorization(complete_graph(3), (1, 1, 1)) is None
+        assert edge_factorization(complete_graph(2), (3, 2)) is None
+        # the empty product
+        assert edge_factorization(complete_graph(2), (0, 0)) == {}
 
     def test_first_multiset_in_lexicographic_order(self):
         rng = random.Random(23)
         for _ in range(200):
             g = random_graph(rng, rng.randint(2, 5))
-            s = rng.randint(0, 3)
             u = tuple(rng.randint(0, 2) for _ in range(g.n))
-            result = edge_factorization(g, s, u)
-            assert result == first_multiset(g, s, u)
+            result = edge_factorization(g, u)
+            assert result == first_multiset(g, u)
             if result is not None:
                 assert list(result) == sorted(result)
 
@@ -247,15 +255,15 @@ class TestEdgeFactorization:
         # the last edge at each vertex must use up what is left there, so the
         # search does not backtrack through the multiplicities
         k = 10**4
-        assert edge_factorization(path_graph(4), 2 * k, (k, k, k + 1, k - 1)) is None
-        assert edge_factorization(path_graph(4), 2 * k, (k, k + 1, k + 1, k)) is None
-        assert edge_factorization(path_graph(4), 2 * k, (k - 1, k, k + 1, k)) == {
+        assert edge_factorization(path_graph(4), (k, k, k + 1, k - 1)) is None
+        assert edge_factorization(path_graph(4), (k + 1, k, k + 1, k)) is None
+        assert edge_factorization(path_graph(4), (k - 1, k, k + 1, k)) == {
             (1, 2): k - 1, (2, 3): 1, (3, 4): k}
 
     def test_vertex_on_no_edge(self):
         g = Graph.from_edges(3, [(1, 2)])
-        assert edge_factorization(g, 2, (1, 1, 2)) is None
-        assert edge_factorization(g, 1, (1, 1, 0)) == {(1, 2): 1}
+        assert edge_factorization(g, (1, 1, 2)) is None
+        assert edge_factorization(g, (1, 1, 0)) == {(1, 2): 1}
 
     def test_first_multiset_when_degrees_sum_to_2s(self):
         # u built from a random multiset, then perturbed within the degree sum
@@ -270,38 +278,57 @@ class TestEdgeFactorization:
             v, w = rng.sample(range(g.n), 2)
             if u[v] and rng.random() < 0.5:
                 u[v], u[w] = u[v] - 1, u[w] + 1
-            assert edge_factorization(g, s, tuple(u)) == first_multiset(g, s, u)
+            assert edge_factorization(g, tuple(u)) == first_multiset(g, u)
 
     def test_independent_of_s(self):
-        assert edge_factorization(complete_graph(2), 10**9, (10**9, 10**9)) == {(1, 2): 10**9}
-        # the degree sum must be 2s
-        assert edge_factorization(complete_graph(2), 10**9, (10**9, 10**9 + 2)) is None
+        assert edge_factorization(complete_graph(2), (10**9, 10**9)) == {(1, 2): 10**9}
+        # an even degree is not enough
+        assert edge_factorization(complete_graph(2), (10**9, 10**9 + 2)) is None
 
     def test_deeper_than_the_recursion_limit(self):
         depth = sys.getrecursionlimit() + 100
-        assert edge_factorization(complete_graph(2), depth, (depth, depth)) == {(1, 2): depth}
+        assert edge_factorization(complete_graph(2), (depth, depth)) == {(1, 2): depth}
         u = (depth, 2 * depth, depth)
-        assert edge_factorization(path_graph(3), 2 * depth, u) == {(1, 2): depth, (2, 3): depth}
-        assert edge_factorization(path_graph(3), 2 * depth, (depth, 2 * depth, depth + 1)) is None
+        assert edge_factorization(path_graph(3), u) == {(1, 2): depth, (2, 3): depth}
+        assert edge_factorization(path_graph(3), (depth, 2 * depth, depth + 2)) is None
+
+
+def quadrics_by_witness(g, c, u, witness):
+    """The quadric description rebuilt on a given edge multiset ``witness`` of
+    u: x_i*x_j (i = j allowed) with u*x_i*x_j c-bounded and i, j adjacent or
+    even-connected with respect to ``witness``."""
+    quadrics = []
+    for i in g.vertices():
+        targets = even_connected_targets(g, witness, i)
+        for j in range(i, g.n + 1):
+            q = [0] * g.n
+            q[i - 1] += 1
+            q[j - 1] += 1
+            bounded = is_bounded(tuple(a + b for a, b in zip(u, q)), c)
+            if bounded and (i != j and g.has_edge(i, j) or j in targets):
+                quadrics.append(tuple(q))
+    return MonomialIdeal(g.n, quadrics)
 
 
 class TestColonQuadrics:
     def test_path_instance(self):
-        result = colon_quadrics(path_graph(4), 1, (1, 1, 1, 1), (0, 1, 1, 0))
+        result = colon_quadrics(path_graph(4), (1, 1, 1, 1), (0, 1, 1, 0))
         assert result.gens == ((1, 0, 0, 1),)
 
     def test_triangle_top_degenerates_to_zero(self):
-        assert colon_quadrics(complete_graph(3), 1, (1, 1, 1), (1, 1, 0)).is_zero()
+        assert colon_quadrics(complete_graph(3), (1, 1, 1), (1, 1, 0)).is_zero()
 
     def test_rejects_s_below_one(self):
-        with pytest.raises(ValueError, match="s must be >= 1, got 0"):
-            colon_quadrics(path_graph(4), 0, (1, 1, 1, 1), (0, 0, 0, 0))
+        # u = 1 would be the generator of the 0th power
+        with pytest.raises(ValueError, match="u must have positive degree"):
+            colon_quadrics(path_graph(4), (1, 1, 1, 1), (0, 0, 0, 0))
 
     def test_rejects_non_generator(self):
-        with pytest.raises(ValueError):
-            colon_quadrics(complete_graph(2), 2, (1, 1), (1, 1))
-        with pytest.raises(ValueError):
-            colon_quadrics(path_graph(4), 1, (1, 1, 1, 1), (1, 0, 1, 0))
+        # an odd degree, and an even one that is no product of edges
+        with pytest.raises(ValueError, match="minimal generator"):
+            colon_quadrics(complete_graph(2), (2, 2), (2, 1))
+        with pytest.raises(ValueError, match="minimal generator"):
+            colon_quadrics(path_graph(4), (1, 1, 1, 1), (1, 0, 1, 0))
 
     def test_equals_direct_colon_randomized(self):
         rng = random.Random(61)
@@ -314,7 +341,7 @@ class TestColonQuadrics:
                 continue
             s = rng.randint(1, len(chain) - 1)
             for u in chain[s - 1].gens:
-                assert colon_quadrics(g, s, c, u) == chain[s].colon(u)
+                assert colon_quadrics(g, c, u) == chain[s].colon(u)
             checked += 1
         # bounds up to 4, where the factorization of u can repeat an edge 3+ times
         heavy = 0
@@ -326,12 +353,12 @@ class TestColonQuadrics:
                 continue
             s = rng.randint(1, len(chain) - 1)
             for u in chain[s - 1].gens:
-                assert colon_quadrics(g, s, c, u) == chain[s].colon(u)
-                heavy += max(edge_factorization(g, s, u).values()) >= 3
+                assert colon_quadrics(g, c, u) == chain[s].colon(u)
+                heavy += max(edge_factorization(g, u).values()) >= 3
 
     def test_independent_of_s(self):
         s = 10**6
-        result = colon_quadrics(complete_graph(2), s, (s + 1,) * 2, (s,) * 2)
+        result = colon_quadrics(complete_graph(2), (s + 1,) * 2, (s,) * 2)
         assert result == MonomialIdeal(2, [(1, 1)])
 
     def test_factorization_independence(self):
@@ -341,10 +368,11 @@ class TestColonQuadrics:
         chain = bounded_power_chain(g.edge_ideal(), c)
         assert len(chain) == 2  # u generates the top power; colon is vacuous there
         c = (2, 2, 2, 2)
-        first = colon_quadrics(g, 2, c, u, factorization=[(1, 2), (3, 4)])
-        second = colon_quadrics(g, 2, c, u, factorization=[(1, 4), (2, 3)])
+        first = quadrics_by_witness(g, c, u, [(1, 2), (3, 4)])
+        second = quadrics_by_witness(g, c, u, [(1, 4), (2, 3)])
         assert first == second
         assert first == bounded_power(g.edge_ideal(), 3, c).colon(u)
+        assert colon_quadrics(g, c, u) == first
 
     def test_independence_over_all_factorizations(self):
         def all_factorizations(g, s, u):
@@ -382,27 +410,14 @@ class TestColonQuadrics:
                     continue
                 expected = chain[s].colon(u)
                 for fact in factorizations:
-                    assert colon_quadrics(g, s, c, u, factorization=fact) == expected
+                    assert quadrics_by_witness(g, c, u, fact) == expected
+                assert colon_quadrics(g, c, u) == expected
                 multi_seen += 1
 
     def test_rejects_generator_above_bound(self):
         # (1,1,1,1) = x1x2 * x3x4 is a product of two edges of C4, but not 1-bounded
         with pytest.raises(ValueError, match="minimal generator"):
-            colon_quadrics(cycle_graph(4), 2, (1, 1, 0, 1), (1, 1, 1, 1))
-
-    def test_rejects_factorization_with_non_edge(self):
-        # x1x3 * x2x4 multiplies to the bounded generator (1,1,1,1), but 13 and 24
-        # are not edges of C4
-        with pytest.raises(ValueError, match="graph edges"):
-            colon_quadrics(
-                cycle_graph(4), 2, (2, 2, 2, 2), (1, 1, 1, 1), factorization=[(1, 3), (2, 4)]
-            )
-
-    def test_bad_factorization_rejected(self):
-        with pytest.raises(ValueError):
-            colon_quadrics(
-                cycle_graph(4), 2, (2, 2, 2, 2), (1, 1, 1, 1), factorization=[(1, 2), (1, 2)]
-            )
+            colon_quadrics(cycle_graph(4), (1, 1, 0, 1), (1, 1, 1, 1))
 
 
 class TestDegreeTwo:
@@ -502,7 +517,7 @@ class TestSplittingOrder:
 def splitting_needs(monkeypatch, power, nxt):
     """The need masks that ``has_colon_splitting_order`` hands to the search."""
     seen = []
-    monkeypatch.setattr(linquot, "search_ordering", lambda m, needs, var_bits: seen.append(needs))
+    monkeypatch.setattr(linquot, "search_ordering", lambda needs, var_bits: seen.append(needs))
     has_colon_splitting_order(power, nxt, max_generators=len(power.gens))
     return seen[0]
 

@@ -6,6 +6,7 @@ homology on squarefree ideals, and strands of the generator-subset
 resolution.
 """
 
+import io
 import json
 import random
 from fractions import Fraction
@@ -15,7 +16,6 @@ from math import comb
 import pytest
 
 from boundedpowers import (
-    BettiTable,
     MonomialIdeal,
     betti_table,
     betti_table_hochster,
@@ -30,7 +30,7 @@ from boundedpowers import (
     reduced_homology_ranks,
     regularity,
 )
-from boundedpowers import homology
+from boundedpowers import cli, homology
 from boundedpowers.homology import (
     _faces,
     _koszul_facets,
@@ -221,6 +221,18 @@ class TestRankOfRows:
             with pytest.raises(ValueError, match="0 or a prime"):
                 betti_table(MonomialIdeal(2, [(1, 1)]), char)
 
+    @pytest.mark.parametrize("char", [1, 4, 6])
+    def test_composite_characteristic_refused_without_a_rank(self, char):
+        # the empty and void complexes, and ideals generated by variables,
+        # take no boundary rank, so each entry point checks the field itself
+        for faces in ([()], []):
+            with pytest.raises(ValueError, match="0 or a prime"):
+                reduced_homology_ranks(faces, char)
+        for ideal in (MonomialIdeal(1, [(1,)]), MonomialIdeal(3, [(1, 0, 0), (0, 0, 1)])):
+            for route in (betti_table, betti_table_hochster, betti_table_taylor):
+                with pytest.raises(ValueError, match="0 or a prime"):
+                    route(ideal, char)
+
     def test_check_characteristic(self):
         valid = []
         for char in range(-3, 30):
@@ -311,22 +323,19 @@ class TestUpperKoszul:
 class TestBettiTable:
     def test_principal(self):
         table = betti_table(MonomialIdeal(3, [(1, 2, 0)]))
-        assert table.entries == ((0, 3, 1),)
+        assert table == {(0, 3): 1}
         assert regularity(MonomialIdeal(3, [(1, 2, 0)])) == 3
 
     def test_koszul_complex(self):
         for n in (2, 3, 4):
             ideal = MonomialIdeal(n, [tuple(int(k == i) for k in range(n)) for i in range(n)])
             table = betti_table(ideal)
-            assert {(i, j): b for i, j, b in table.entries} == {
-                (i, i + 1): comb(n, i + 1) for i in range(n)
-            }
+            assert table == {(i, i + 1): comb(n, i + 1) for i in range(n)}
 
     def test_path_ideal_table(self):
-        assert betti_table(path_graph(4).edge_ideal()).entries == (
-            (0, 2, 3),
-            (1, 3, 2),
-        )
+        # a plain map, in sorted key order
+        table = betti_table(path_graph(4).edge_ideal())
+        assert list(table.items()) == [((0, 2), 3), ((1, 3), 2)]
 
     def test_generator_counts_in_row_zero(self):
         rng = random.Random(97)
@@ -336,7 +345,7 @@ class TestBettiTable:
             by_degree = {}
             for g in ideal.gens:
                 by_degree[degree(g)] = by_degree.get(degree(g), 0) + 1
-            assert {j: b for i, j, b in table.entries if i == 0} == by_degree
+            assert {j: b for (i, j), b in table.items() if i == 0} == by_degree
 
     def test_zero_ideal_rejected(self):
         with pytest.raises(ValueError):
@@ -352,16 +361,34 @@ class TestBettiTable:
         ideals = [random_ideal(rng) for _ in range(10)] + [cycle_graph(5).edge_ideal()]
         monkeypatch.setattr(homology, "_closure", refuse)
         for ideal in ideals:
-            assert betti_table(ideal).entries
+            assert betti_table(ideal)
             assert regularity(ideal, 2) >= 1
         with pytest.raises(AssertionError, match="tuple complex"):
             betti_table_hochster(cycle_graph(5).edge_ideal())
 
-    def test_json_round_trip(self):
-        table = betti_table(path_graph(4).edge_ideal())
-        data = json.loads(table.to_json())
-        assert data == {"char": 0, "entries": [[0, 2, 3], [1, 3, 2]]}
-        assert BettiTable(data["char"], tuple(map(tuple, data["entries"]))) == table
+    def test_json_round_trip(self, capsys, monkeypatch):
+        # ``ideal betti`` writes the map as {"char", "entries": [[i, j, beta], ...]}
+        ideal = path_graph(4).edge_ideal()
+        for char in (0, 2):
+            monkeypatch.setattr("sys.stdin", io.StringIO(ideal.to_json()))
+            assert cli.main(["ideal", "betti", "--char", str(char)]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data == {"char": char, "entries": [[0, 2, 3], [1, 3, 2]]}
+            assert {(i, j): b for i, j, b in data["entries"]} == betti_table(ideal, char)
+
+    def test_every_route_returns_sorted_nonzero_entries(self):
+        rng = random.Random(137)
+        for _ in range(20):
+            ideal = random_ideal(rng, nmax=4, max_gens=4)
+            polarized = polarize(ideal)
+            for table in (betti_table(ideal), betti_table_taylor(ideal),
+                          betti_table_hochster(polarized)):
+                assert list(table) == sorted(table)
+                assert all(b > 0 for b in table.values())
+
+    def test_negative_betti_number_refused(self):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            homology._betti_map({(0, 2): 1, (1, 3): -1})
 
 
 def non_maximal_facet_points(ideal):
@@ -391,7 +418,7 @@ class TestVertexStar:
         assert (2, 2, 1) in non_maximal_facet_points(self.CONE)
         table = betti_table(self.CONE, char)
         assert table == betti_table_taylor(self.CONE, char)
-        assert table.entries == ((0, 2, 1), (0, 3, 2), (1, 4, 2))
+        assert table == {(0, 2): 1, (0, 3): 2, (1, 4): 2}
 
     @pytest.mark.parametrize("char", [0, 2, 3])
     def test_non_maximal_facets_match_taylor(self, char):
@@ -432,7 +459,7 @@ class TestRegularity:
         assert has_linear_resolution(ideal, 0)
         assert regularity(ideal, 2) == 4
         assert not has_linear_resolution(ideal, 2)
-        assert (3, 6, 1) in betti_table(ideal, 2).entries
+        assert betti_table(ideal, 2)[(3, 6)] == 1
 
     def test_polarization_preserves_regularity(self):
         rng = random.Random(101)
@@ -449,7 +476,7 @@ class TestOracleAgreement:
             reference = betti_table(ideal)
             assert betti_table_taylor(ideal) == reference
             polarized = polarize(ideal)
-            assert betti_table_hochster(polarized).entries == reference.entries
+            assert betti_table_hochster(polarized) == reference
 
     def test_three_routes_agree_char2(self):
         rng = random.Random(107)
@@ -458,7 +485,7 @@ class TestOracleAgreement:
             reference = betti_table(ideal, 2)
             assert betti_table_taylor(ideal, 2) == reference
             polarized = polarize(ideal)
-            assert betti_table_hochster(polarized, 2).entries == reference.entries
+            assert betti_table_hochster(polarized, 2) == reference
 
     @pytest.mark.parametrize("char", [0, 2, 3])
     def test_three_routes_agree_at_field_boundaries(self, char):
@@ -466,13 +493,13 @@ class TestOracleAgreement:
             reference = betti_table(ideal, char)
             assert betti_table_taylor(ideal, char) == reference
             if ideal.is_unit():
-                assert reference.entries == ((0, 0, 1),)
+                assert reference == {(0, 0): 1}
                 continue
             polarized = polarize(ideal)
             # a restriction complex has up to 2^n faces, so the route is
             # checked on the narrow polarizations only (top <= 8)
             if polarized.n <= 10:
-                assert betti_table_hochster(polarized, char).entries == reference.entries
+                assert betti_table_hochster(polarized, char) == reference
 
     def test_hochster_requires_squarefree(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Source hygiene: no module keeps a top-level import it never uses, no
-private top-level name outlives its last use, no public name is kept for its
-own tests alone, and no function calls itself."""
+private top-level name outlives its last use, no public name or defaulted
+parameter is kept for its own tests alone, and no function calls itself."""
 
 import ast
 from collections import Counter
@@ -208,3 +208,93 @@ def test_detects_a_self_calling_function():
 def test_no_function_calls_itself():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert self_calling_functions(sources) == []
+
+
+# defaulted parameters that no src/ module or demo passes, each with the reason it stays
+UNPASSED_DEFAULT_ALLOWLIST = {
+    "cli.py:main(argv)":
+        "tests and benchmarks/layertrace.py drive the command line in-process",
+    "homology.py:betti_table_hochster(char)":
+        "an oracle runs at the characteristic it checks",
+    "homology.py:betti_table_taylor(char)":
+        "an oracle runs at the characteristic it checks",
+}
+
+
+def _defaulted_parameters(definition: ast.AST, bound: bool) -> list[tuple[int | None, str]]:
+    """(position, name) of each parameter with a default, the position counted
+    among the arguments a call passes (so without ``self`` or ``cls`` when
+    ``bound``); None for a keyword-only one."""
+    args = definition.args
+    positional = args.posonlyargs + args.args
+    offset = 1 if bound else 0
+    first = len(positional) - len(args.defaults)
+    found = [(k - offset, a.arg) for k, a in enumerate(positional) if k >= first]
+    return found + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+
+
+def unpassed_defaults(sources: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """``module:function(parameter)`` for each defaulted parameter of a public
+    top-level function, or of a public method of a top-level class, in
+    ``sources`` that no call in ``sources`` or ``callers`` passes, by keyword
+    or by position.  A call is matched by the bare name it calls, like a read
+    in ``unread_public_names``; ``*args`` passes every position from its own
+    on, and ``**kwargs`` every keyword."""
+    passed: dict[str, list[tuple[float, set[str] | None]]] = {}
+    for text in (*sources.values(), *callers.values()):
+        for call in ast.walk(ast.parse(text)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = [k for k, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+            reach = float("inf") if starred else len(call.args)
+            keywords = {k.arg for k in call.keywords}
+            passed.setdefault(name, []).append((reach, None if None in keywords else keywords))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, functions):
+                defined = [(node.name, node, False)]
+            elif isinstance(node, ast.ClassDef):
+                defined = [(f"{node.name}.{sub.name}", sub,
+                            not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                    for d in sub.decorator_list))
+                           for sub in node.body if isinstance(sub, functions)]
+            else:
+                continue
+            for qualified, definition, bound in defined:
+                if definition.name.startswith("_"):
+                    continue
+                calls = passed.get(definition.name, [])
+                for position, parameter in _defaulted_parameters(definition, bound):
+                    if not any(keywords is None or parameter in keywords
+                               or position is not None and position < reach
+                               for reach, keywords in calls):
+                        found.append(f"{module}:{qualified}({parameter})")
+    return found
+
+
+def test_detects_a_default_no_call_passes():
+    sources = {
+        "a.py": "def f(x, y=1, z=2, *, w=3, v=4):\n    pass\n"
+                "def g(x=0):\n    pass\n"
+                "def _private(x=0):\n    pass\n"
+                "class C:\n    def m(self, a=1, b=2):\n        pass\n"
+                "    @staticmethod\n    def s(a=1):\n        pass\n"
+                "    @classmethod\n    def k(cls, a=1):\n        pass\n",
+        "b.py": "from a import C, f, g\nf(0, 5, w=1)\nC().m(3)\nC.s(1)\ng(*[])\n",
+    }
+    callers = {"demo.py": "import a\nopts = {}\na.C.k(**opts)\n"}
+    test_file = "from a import f\nf(0, z=1, v=2)\n"
+    # test files are not passed as callers, so their calls do not count
+    assert unpassed_defaults(sources, callers) == ["a.py:f(z)", "a.py:f(v)", "a.py:C.m(b)"]
+    assert unpassed_defaults(sources, {**callers, "test_a.py": test_file}) == ["a.py:C.m(b)"]
+
+
+def test_no_default_that_only_tests_pass():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    callers = {p.name: p.read_text(encoding="utf-8") for p in sorted(DEMOS.glob("*.py"))}
+    assert unpassed_defaults(sources, callers) == list(UNPASSED_DEFAULT_ALLOWLIST)

@@ -309,7 +309,7 @@ class TestSearchOrdering:
             )
             first = next((order for order in permutations(range(m))
                           if self.admissible(order, *tables)), None)
-            assert search_ordering(m, *tables) == first
+            assert search_ordering(*tables) == first
             found += first is not None
         assert 50 < found < 350
 
@@ -318,4 +318,4 @@ class TestSearchOrdering:
         # ordering is 0, ..., m-1, one search level per element
         m = sys.getrecursionlimit() + 50
         needs = [[int(j == i + 1) for i in range(m)] for j in range(m)]
-        assert search_ordering(m, needs, [[0] * m] * m) == tuple(range(m))
+        assert search_ordering(needs, [[0] * m] * m) == tuple(range(m))

@@ -194,6 +194,21 @@ class TestChainReuse:
             all_bounded_powers_lq(g, (2,) * g.n)
             assert len(level_builds) == 1
 
+    def test_bounded_power_of_the_unit_ideal_builds_no_chain(self, level_builds):
+        # every power of the unit ideal is the unit ideal, whatever s is
+        unit = MonomialIdeal(2, [(0, 0)])
+        for s in (1, 2, 20000):
+            assert bounded_power(unit, s, (1, 1)) == unit
+        assert bounded_power(unit, 3, (0, 0)) == unit
+        assert level_builds == []
+        # s and c are still validated first
+        with pytest.raises(ValueError, match="s >= 1"):
+            bounded_power(unit, 0, (1, 1))
+        with pytest.raises(ValueError):
+            bounded_power(unit, 2, (1, 1, 1))
+        with pytest.raises(ValueError):
+            bounded_power(unit, 2, (1, -1))
+
     def test_colon_quadrics_builds_no_chain(self, level_builds):
         g = cycle_graph(5)
         c = (2,) * 5
@@ -201,7 +216,7 @@ class TestChainReuse:
         level_builds.clear()
         for s in range(1, len(chain)):
             for u in chain[s - 1].gens:
-                colon_quadrics(g, s, c, u)
+                colon_quadrics(g, c, u)
         assert level_builds == []
 
 
