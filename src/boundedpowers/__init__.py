@@ -21,7 +21,7 @@ _EXPORTS = {
                  "regularity"),
     "linquot": ("SearchCapExceeded", "all_bounded_powers_lq", "find_lq_ordering",
                 "has_colon_splitting_order", "is_lq_ordering", "restrict_lq_ordering"),
-    "monomials": ("BoundVector", "Monomial", "MonomialIdeal", "colon_mono", "degree",
+    "monomials": ("BoundVector", "Monomial", "MonomialIdeal", "degree",
                   "is_bounded", "support"),
     "polymatroid": ("exchange_witness", "is_equigenerated", "is_matroidal", "is_polymatroidal"),
     "powers": ("bounded_power", "bounded_power_chain", "delta", "delta_bmatching",

@@ -17,7 +17,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields
 
 from .graphs import _ASCII_SPACE, Graph, parse_graph6
 from .linquot import DEFAULT_GENERATOR_CAP, SearchCapExceeded, find_lq_ordering, is_lq_ordering
@@ -153,10 +152,10 @@ def _cmd_colon_quadrics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    options = {f.name: getattr(args, f.name) for f in fields(SuiteConfig) if hasattr(args, f.name)}
+    options = {name: getattr(args, name) for name in SuiteConfig.DEFAULTS if hasattr(args, name)}
     if "c_explicit" in options:
         options["c_explicit"] = _parse_vector(options["c_explicit"])
-    report = run_suite(SuiteConfig(**options))
+    report = run_suite(SuiteConfig(args.suite, **options))
     _write_output(args, report.to_json())
     return 1 if report.failed else 0
 

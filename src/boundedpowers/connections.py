@@ -20,11 +20,16 @@ the two takes leaves a valid walk: it is strictly shorter, has the same ends,
 keeps every parity and takes fewer copies.  So every shortest witness takes
 each edge at most once per direction, and the search space does not grow with
 the multiplicities.
+
+The search is breadth-first, a level at a time, over (uses left, vertex)
+states with the uses left packed into one int, and keeps one parent map per
+walk parity in discovery order: the first accepting state at b ends a
+shortest witness.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from typing import Sequence
 
 from .graphs import Edge, Graph, normalize_edge
@@ -61,38 +66,48 @@ def _edge_counts(graph: Graph, edges: Sequence[Edge]) -> dict[Edge, int]:
     return dict(sorted(counts.items()))
 
 
-def _even_walks(graph: Graph, counts: dict[Edge, int], a: int) -> dict[tuple, tuple | None]:
-    """BFS from a over (vertex, uses left, parity) states; each distinct edge
-    starts with min(multiplicity, 2) uses.  Returns the parent map, whose keys
-    are in discovery order.  A state is accepting when its parity is 1 (odd
-    walk position) and it has taken at least one multiset edge."""
-    distinct = tuple(counts)
-    start = (a, tuple(min(m, 2) for m in counts.values()), 0)
-    parents: dict[tuple, tuple | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        vertex, left, parity = state
-        if parity:
-            # odd position: the next step takes a multiset edge
-            steps = [
-                (e[1] if e[0] == vertex else e[0], left[:t] + (left[t] - 1,) + left[t + 1:], 0)
-                for t, e in enumerate(distinct) if left[t] and vertex in e
-            ]
-        else:
-            # even position: the next step is any edge of the graph
-            steps = [(u, left, 1) for u in graph.adjacency[vertex]]
-        for nxt in steps:
-            if nxt not in parents:
-                parents[nxt] = state
-                queue.append(nxt)
-    return parents
+def _even_walks(graph: Graph, counts: dict[Edge, int], a: int) -> tuple[dict, dict, int]:
+    """BFS from a: an even level steps along any graph edge, an odd level
+    along a multiset edge with a use left.  A state is ``(left, vertex)``;
+    base-3 digit t of ``left`` counts the uses left of the t-th distinct edge,
+    from min(multiplicity, 2).  Returns the even and the odd parent maps and
+    the starting ``left``; an odd state that has taken an edge is accepting."""
+    takes: dict[int, list[tuple[int, int]]] = {v: [] for v in graph.vertices()}
+    full = 0
+    for t, ((i, j), m) in enumerate(counts.items()):
+        unit = 3**t
+        full += min(m, 2) * unit
+        takes[i].append((j, unit))
+        takes[j].append((i, unit))
+    adjacency = graph.adjacency
+    even: dict = {(full, a): None}
+    odd: dict = {}
+    frontier = [(full, a)]
+    while frontier:
+        reached = []
+        for state in frontier:
+            left = state[0]
+            for w in adjacency[state[1]]:
+                key = (left, w)
+                if key not in odd:
+                    odd[key] = state
+                    reached.append(key)
+        frontier = []
+        for state in reached:
+            left = state[0]
+            for w, unit in takes[state[1]]:
+                if left // unit % 3:
+                    key = (left - unit, w)
+                    if key not in even:
+                        even[key] = state
+                        frontier.append(key)
+    return even, odd, full
 
 
-def _targets(parents: dict[tuple, tuple | None]) -> set[int]:
-    """The vertices of the accepting states of an ``_even_walks`` parent map."""
-    full = next(iter(parents))[1]
-    return {v for v, left, parity in parents if parity and left != full}
+def _targets(graph: Graph, counts: dict[Edge, int], a: int) -> set[int]:
+    """The vertices of the accepting states of ``_even_walks`` from a."""
+    _, odd, full = _even_walks(graph, counts, a)
+    return {v for left, v in odd if left != full}
 
 
 def _check_vertex(graph: Graph, v: int) -> None:
@@ -106,22 +121,21 @@ def find_even_connection(
     """The vertices of a shortest even-connection walk from a to b, or None."""
     _check_vertex(graph, a)
     _check_vertex(graph, b)
-    parents = _even_walks(graph, _edge_counts(graph, edges), a)
-    full = next(iter(parents))[1]
-    state = next((st for st in parents if st[0] == b and st[2] and st[1] != full), None)
+    even, odd, full = _even_walks(graph, _edge_counts(graph, edges), a)
+    state = next((st for st in odd if st[1] == b and st[0] != full), None)
     if state is None:
         return None
     path: list[int] = []
     while state is not None:
-        path.append(state[0])
-        state = parents[state]
+        path.append(state[1])
+        state = odd[state] if len(path) % 2 else even[state]
     return tuple(reversed(path))
 
 
 def even_connected_targets(graph: Graph, edges: Sequence[Edge], a: int) -> set[int]:
     """All vertices even-connected to a with respect to the edge multiset."""
     _check_vertex(graph, a)
-    return _targets(_even_walks(graph, _edge_counts(graph, edges), a))
+    return _targets(graph, _edge_counts(graph, edges), a)
 
 
 def edge_factorization(graph: Graph, u: Monomial) -> dict[Edge, int] | None:
@@ -139,8 +153,11 @@ def edge_factorization(graph: Graph, u: Monomial) -> dict[Edge, int] | None:
     if sum(u) % 2:
         return None
     adjacency = graph.adjacency
-    edges = graph.sorted_edges()
     remaining = [0, *u]  # 1-based
+    # each copy of an edge at v takes one unit at a neighbour of v
+    if any(a > sum(map(remaining.__getitem__, adjacency[v])) for v, a in enumerate(u, 1) if a):
+        return None
+    edges = graph.sorted_edges()
     chosen: list[int] = []  # the multiplicity of each edge on the current branch
     while len(chosen) < len(edges):
         i, j = edges[len(chosen)]
@@ -197,7 +214,7 @@ def colon_quadrics(graph: Graph, c: BoundVector, u: Monomial) -> MonomialIdeal:
                 continue
             if i == j or not graph.has_edge(i, j):
                 if targets is None:
-                    targets = _targets(_even_walks(graph, counts, i))
+                    targets = _targets(graph, counts, i)
                 if j not in targets:
                     continue
             q = [0] * graph.n

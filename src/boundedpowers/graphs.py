@@ -9,12 +9,11 @@ with i < j.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .monomials import MonomialIdeal, _is_int_rows
+from .monomials import MonomialIdeal, _is_int_rows, _Value
 
 Edge = tuple[int, int]
 
@@ -41,19 +40,18 @@ def normalize_edge(i: int, j: int) -> Edge:
     return (i, j) if i < j else (j, i)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     """A simple graph: no loops, no multiple edges, vertices 1..n."""
 
-    n: int
-    edges: frozenset[Edge] = field(default_factory=frozenset)
+    _fields = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, edges: frozenset[Edge] = frozenset()) -> None:
+        if n < 1:
             raise ValueError("vertex count must be positive")
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
+        for i, j in edges:
+            if not (1 <= i < j <= n):
+                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+        self.__dict__.update(n=n, edges=edges)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -5,18 +5,18 @@ length n (the ambient variable count).  Variables are 1-based, so the exponent
 of x_i lives at index i-1.  A :class:`MonomialIdeal` stores the canonical
 minimal generating set, which its constructor makes from any generators:
 sorted lexicographically, pairwise non-dividing.  Equality of ideals is
-equality of representations.
+equality of representations.  A colon ideal is computed on the ideal's packed
+view: each generator g : u is one subtraction and two masks (``colon``).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement, groupby
 from math import isqrt
 from operator import le
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Monomial = tuple[int, ...]
 BoundVector = tuple[int, ...]
@@ -33,12 +33,6 @@ def support(u: Monomial) -> tuple[int, ...]:
 def lcm(u: Monomial, v: Monomial) -> Monomial:
     _check_same_ambient(u, v)
     return tuple(max(a, b) for a, b in zip(u, v))
-
-
-def colon_mono(u: Monomial, v: Monomial) -> Monomial:
-    """The monomial u : v = u / gcd(u, v), entrywise max(a - b, 0)."""
-    _check_same_ambient(u, v)
-    return tuple(max(a - b, 0) for a, b in zip(u, v))
 
 
 def is_bounded(u: Monomial, c: BoundVector) -> bool:
@@ -108,8 +102,34 @@ class _Packing:
         return tuple([p >> shift & field for shift in self._shifts])
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class _Value:
+    """Equality, hashing and repr by the attributes a subclass names in
+    ``_fields`` and sets in ``__init__`` through ``__dict__``; assignment
+    raises.  (``dataclasses`` would cost every run its import.)"""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MonomialIdeal(_Value):
     """A monomial ideal, stored as its canonical minimal generating set.
 
     The constructor accepts any iterable of exponent sequences and keeps the
@@ -126,23 +146,22 @@ class MonomialIdeal:
     divisibility test at all.
     """
 
-    n: int
-    gens: tuple[Monomial, ...]
+    _fields = ("n", "gens")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, gens: Iterable[Sequence[int]]) -> None:
+        if n < 1:
             raise ValueError("ambient variable count must be positive")
-        distinct = set(map(tuple, self.gens))
+        distinct = set(map(tuple, gens))
         for u in distinct:
-            if len(u) != self.n or min(u) < 0:
-                _check_monomial(self.n, u)  # raises, naming the fault
+            if len(u) != n or min(u) < 0:
+                _check_monomial(n, u)  # raises, naming the fault
         kept: list[Monomial] = []
         for _, same_degree in groupby(sorted(distinct, key=sum), key=sum):
             if kept:
                 lower = tuple(kept)
                 same_degree = [u for u in same_degree if not any(all(map(le, v, u)) for v in lower)]
             kept.extend(same_degree)
-        object.__setattr__(self, "gens", tuple(sorted(kept)))
+        self.__dict__.update(n=n, gens=tuple(sorted(kept)))
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -153,7 +172,7 @@ class MonomialIdeal:
     @cached_property
     def _packed(self) -> tuple[_Packing, tuple[int, ...]]:
         """The one packed view of the generators, with room for one more than
-        the top exponent; ``cached_property`` may write a frozen ``__dict__``."""
+        the top exponent."""
         packing = _Packing(self.n, max(map(max, self.gens), default=0) + 1)
         return packing, tuple(packing.pack(g) for g in self.gens)
 
@@ -191,9 +210,23 @@ class MonomialIdeal:
         return MonomialIdeal(self.n, products)
 
     def colon(self, u: Monomial) -> "MonomialIdeal":
-        """The colon ideal (self : u), generated by the g : u over generators g."""
+        """The colon ideal (self : u), generated by the g : u over generators g.
+
+        On the packed view, u clamped as in ``contains``: ``d = (g | guard) - u``
+        borrows no bit between fields, ``ge = d & guard`` flags g_k >= u_k, and
+        ``ge - (ge >> (width - 1))`` masks the value bits of those fields.
+        """
         u = _check_monomial(self.n, u)
-        return MonomialIdeal(self.n, (colon_mono(g, u) for g in self.gens))
+        packing, gens = self._packed
+        low = packing.width - 1
+        guard = packing.guard
+        clamped = packing.pack(min(a, (1 << low) - 1) for a in u)
+        colons = set()
+        for g in gens:
+            d = (g | guard) - clamped
+            ge = d & guard
+            colons.add(d & (ge - (ge >> low)))
+        return MonomialIdeal(self.n, map(packing.unpack, colons))
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "gens": [list(g) for g in self.gens]})

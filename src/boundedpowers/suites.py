@@ -31,10 +31,9 @@ import json
 import os
 import random
 import time
-from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph, labeled_graph6, parse_graph6, read_graph6_file
 from .linquot import (
@@ -46,7 +45,7 @@ from .linquot import (
     is_lq_ordering,
     restrict_lq_ordering,
 )
-from .monomials import MonomialIdeal, check_characteristic, degree
+from .monomials import MonomialIdeal, _Value, check_characteristic, degree
 from .powers import bounded_power_chain
 
 # the largest nmax: the corpus holds every labeled graph on up to nmax
@@ -68,32 +67,29 @@ _CORPUS_READS = {
 }
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(_Value):
     """Everything a suite run depends on; echoed into the report.
 
+    ``DEFAULTS`` holds every field but ``suite``, in order, with its default.
     A field the run does not read (see ``_Suite``) must keep its default, so
     the echoed config never claims a setting that was not applied.
     """
 
-    suite: str
-    nmax: int | None = None
-    graph6_path: str | None = None
-    random_count: int | None = None
-    random_nmax: int = 5
-    seed: int = 0
-    c_policy: str = "ones"  # one of C_POLICIES
-    c_value: int = 1  # constant value / random upper bound
-    c_explicit: tuple[int, ...] | None = None
-    char: int = 0
-    max_generators: int = DEFAULT_GENERATOR_CAP
-    max_s: int | None = None
-    jobs: int = 1
-    ideal_max_generators: int = 6
-    ideal_max_exponent: int = 2
-    samples_per_instance: int = 3
+    DEFAULTS = {
+        "nmax": None, "graph6_path": None, "random_count": None, "random_nmax": 5, "seed": 0,
+        # c_policy is one of C_POLICIES; c_value a constant or a random upper
+        # bound; c_explicit a tuple of ints
+        "c_policy": "ones", "c_value": 1, "c_explicit": None,
+        "char": 0, "max_generators": DEFAULT_GENERATOR_CAP, "max_s": None, "jobs": 1,
+        "ideal_max_generators": 6, "ideal_max_exponent": 2, "samples_per_instance": 3,
+    }
+    _fields = ("suite", *DEFAULTS)
 
-    def __post_init__(self) -> None:
+    def __init__(self, suite: str, **options) -> None:
+        unknown = options.keys() - self.DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"SuiteConfig has no field {min(unknown)!r}")
+        self.__dict__.update(self.DEFAULTS, suite=suite, **options)
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
         if self.c_policy not in C_POLICIES:
@@ -109,10 +105,10 @@ class SuiteConfig:
             read |= {"random_nmax", "seed"}
         if suite.c_floor is not None:
             read |= {"c_policy", *_POLICY_READS[self.c_policy]}
-        for f in fields(self):
-            if f.name not in read and getattr(self, f.name) != f.default:
-                raise ValueError(f"suite {self.suite!r} does not read {f.name} in this run, "
-                                 f"so it cannot be set (got {getattr(self, f.name)!r})")
+        for name, default in self.DEFAULTS.items():
+            if name not in read and getattr(self, name) != default:
+                raise ValueError(f"suite {self.suite!r} does not read {name} in this run, "
+                                 f"so it cannot be set (got {getattr(self, name)!r})")
         if self.c_policy == "explicit" and not self.c_explicit:
             raise ValueError("explicit c policy needs c_explicit")
         if self.c_policy == "random" and self.c_value < 1:
@@ -136,13 +132,15 @@ class SuiteConfig:
         check_characteristic(self.char)
 
 
-@dataclass
-class VerificationReport:
-    config: dict
-    records: list[dict]
-    counterexamples: list[dict]
-    summary: dict
-    timings: dict = field(default_factory=dict)
+class VerificationReport(_Value):
+    """A suite run's config, records and summary, and its ``timings`` sidecar."""
+
+    _fields = ("config", "records", "counterexamples", "summary", "timings")
+
+    def __init__(self, config: dict, records: list[dict], counterexamples: list[dict],
+                 summary: dict, timings: dict | None = None) -> None:
+        self.__dict__.update(config=config, records=records, counterexamples=counterexamples,
+                             summary=summary, timings={} if timings is None else timings)
 
     def to_dict(self, with_timings: bool = True) -> dict:
         data = {"config": self.config, "records": self.records,
@@ -330,8 +328,7 @@ class _Instance:
         return _record(self.key, self.payload, "skip", detail, s)
 
 
-@dataclass(frozen=True)
-class _GraphSuite:
+class _GraphSuite(NamedTuple):
     """A graph statement and the s-range it is checked on.
 
     ``check(inst, s)`` returns one record.  With ``first`` None it runs once,
@@ -517,8 +514,7 @@ def _eval_remark45(payload: dict, cfg: SuiteConfig) -> list[dict]:
 _NO_POWER = "delta={delta}: no nonvanishing bounded power"
 
 
-@dataclass(frozen=True)
-class _Suite:
+class _Suite(NamedTuple):
     """What a suite reads, and how it evaluates one instance.
 
     ``corpus`` keys ``_CORPUS_READS``.  ``c_floor`` is the smallest entry
@@ -634,7 +630,7 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     summary = {outcome: sum(r["outcome"] == outcome for r in records)
                for outcome in ("pass", "fail", "skip")}
     summary["total"] = len(records)
-    config = asdict(cfg)
+    config = {name: getattr(cfg, name) for name in cfg._fields}
     clock.append(time.perf_counter())
     stages = {f"{name}_s": round(end - begin, 6) for name, begin, end
               in zip(("corpus", "classes", "evaluate", "assemble"), clock, clock[1:])}

@@ -19,6 +19,13 @@ def level_builds(monkeypatch):
     return calls
 
 
+def colon_mono(u, v):
+    """The monomial u : v = u / gcd(u, v), entrywise max(a - b, 0): the
+    oracle for ``MonomialIdeal.colon``, which computes it on packed ints."""
+    assert len(u) == len(v), (u, v)
+    return tuple(max(a - b, 0) for a, b in zip(u, v))
+
+
 def matching_number(graph) -> int:
     """Maximum number of pairwise disjoint edges, by exact branching: the
     lowest active vertex v with an active neighbour stays unmatched or is

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -13,7 +14,6 @@ from boundedpowers import (
     SearchCapExceeded,
     bounded_power,
     bounded_power_chain,
-    colon_mono,
     colon_quadrics,
     complete_graph,
     cycle_graph,
@@ -30,6 +30,7 @@ from boundedpowers import linquot
 from boundedpowers.connections import _edge_counts, _even_walks
 from boundedpowers.linquot import _lq_pair_data
 from boundedpowers.graphs import normalize_edge
+from conftest import colon_mono
 
 
 def random_graph(rng, n):
@@ -207,8 +208,66 @@ class TestTwoUseCap:
 
     def test_states_do_not_grow_with_multiplicity(self):
         k2 = complete_graph(2)
-        two, many = (len(_even_walks(k2, _edge_counts(k2, [(1, 2)] * m), 1)) for m in (2, 1000))
+        two, many = (_even_walks(k2, _edge_counts(k2, [(1, 2)] * m), 1) for m in (2, 1000))
         assert two == many
+        assert two[2] == 2 and len(two[0]) + len(two[1]) == 6
+
+
+class TestEvenWalkStates:
+    """``_even_walks`` keys a state as (uses left, vertex), with the uses
+    left of the t-th distinct edge in base-3 digit t, and keeps one parent
+    map per parity in breadth-first discovery order."""
+
+    def test_encoding_and_discovery_order(self):
+        # P3 with (1, 2) once and (2, 3) three times: uses left 1 + 2 * 3 = 7
+        g = path_graph(3)
+        even, odd, full = _even_walks(g, _edge_counts(g, [(1, 2)] + [(2, 3)] * 3), 1)
+        assert full == 7
+        assert list(even.items()) == [
+            ((7, 1), None), ((6, 1), (7, 2)), ((4, 3), (7, 2)), ((3, 3), (6, 2)),
+            ((3, 1), (4, 2)), ((1, 3), (4, 2)), ((0, 3), (3, 2)), ((0, 1), (1, 2))]
+        assert list(odd.items()) == [
+            ((7, 2), (7, 1)), ((6, 2), (6, 1)), ((4, 2), (4, 3)), ((3, 2), (3, 3)),
+            ((1, 2), (1, 3)), ((0, 2), (0, 3))]
+
+    def test_parent_maps_equal_a_tuple_queue_search(self):
+        # the same search over (uses-left tuple, vertex, parity) states with
+        # one FIFO queue: the same states and parents, in the same order
+        rng = random.Random(131)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(2, 5))
+            if not g.edges:
+                continue
+            counts = _edge_counts(g, random_edge_multiset(rng, g, rng.randint(1, 5)))
+            distinct = list(counts)
+            a = rng.randint(1, g.n)
+            start = (tuple(min(m, 2) for m in counts.values()), a, 0)
+            parents, queue = {start: None}, [start]
+            for state in queue:
+                left, v, parity = state
+                if parity:
+                    steps = [(left[:t] + (left[t] - 1,) + left[t + 1:], e[0] + e[1] - v, 0)
+                             for t, e in enumerate(distinct) if left[t] and v in e]
+                else:
+                    steps = [(left, w, 1) for w in g.adjacency[v]]
+                for step in steps:
+                    if step not in parents:
+                        parents[step] = state
+                        queue.append(step)
+            code = lambda state: (sum(k * 3**t for t, k in enumerate(state[0])), state[1])
+            expected = [[(code(state), parent and code(parent))
+                         for state, parent in parents.items() if state[2] == parity]
+                        for parity in (0, 1)]
+            even, odd, full = _even_walks(g, counts, a)
+            assert (full, a) == code(start)
+            assert [list(even.items()), list(odd.items())] == expected
+
+    def test_targets_and_witnesses_agree_with_walk_enumeration(self):
+        rng = random.Random(137)
+        for _ in range(120):
+            g = random_graph(rng, rng.randint(2, 5))
+            if g.edges:
+                assert_agrees_with_walks(g, random_edge_multiset(rng, g, rng.randint(1, 4)))
 
 
 def first_multiset(g, u):
@@ -279,6 +338,23 @@ class TestEdgeFactorization:
             if u[v] and rng.random() < 0.5:
                 u[v], u[w] = u[v] - 1, u[w] + 1
             assert edge_factorization(g, tuple(u)) == first_multiset(g, u)
+
+    def test_a_vertex_heavier_than_its_neighbours_has_none(self):
+        # every copy of an edge at v takes a unit at a neighbour of v, so
+        # u_v > the sum over the neighbours ends the search before it starts
+        for u in [(20, 20, 20, 20, 82), (30, 30, 30, 30, 122)]:
+            start = time.perf_counter()
+            assert edge_factorization(complete_graph(5), u) is None
+            assert time.perf_counter() - start < 0.01
+        rng = random.Random(139)
+        heavy = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(2, 4))
+            u = tuple(rng.randint(0, 3) for _ in range(g.n))
+            heavy += sum(u) % 2 == 0 and any(
+                a > sum(u[w - 1] for w in g.adjacency[v]) for v, a in enumerate(u, 1))
+            assert edge_factorization(g, u) == first_multiset(g, u), (g, u)
+        assert heavy >= 30
 
     def test_independent_of_s(self):
         assert edge_factorization(complete_graph(2), (10**9, 10**9)) == {(1, 2): 10**9}

@@ -11,7 +11,6 @@ from boundedpowers import (
     SearchCapExceeded,
     all_bounded_powers_lq,
     bounded_power_chain,
-    colon_mono,
     complete_graph,
     cycle_graph,
     degree,
@@ -22,6 +21,7 @@ from boundedpowers import (
     restrict_lq_ordering,
 )
 from boundedpowers.linquot import _lq_pair_data, search_ordering
+from conftest import colon_mono
 
 REMARK_IDEAL = MonomialIdeal(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
 

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boundedpowers import (
+    Graph,
     MonomialIdeal,
-    colon_mono,
+    SuiteConfig,
+    VerificationReport,
     is_bounded,
 )
+from conftest import colon_mono
 
 
 def ideal(n, *gens):
@@ -224,6 +227,82 @@ class TestPackedMembership:
         i = ideal(2, (2, 0), (1, 1))
         assert i._packed is i._packed
         assert i == ideal(2, (1, 1), (2, 0)) and hash(i) == hash(ideal(2, (2, 0), (1, 1)))
+
+
+def colon_by_definition(i, u):
+    return MonomialIdeal(i.n, [colon_mono(g, u) for g in i.gens])
+
+
+class TestPackedColon:
+    """``colon`` runs on the packed view with u clamped to the field
+    capacity; it must agree with ``colon_mono`` everywhere."""
+
+    def test_matches_colon_mono_on_seeded_ideals(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            i = MonomialIdeal(n, [tuple(rng.randint(0, 3) for _ in range(n))
+                                  for _ in range(rng.randint(0, 6))])
+            for _ in range(10):
+                u = tuple(rng.randint(0, 5) for _ in range(n))
+                assert i.colon(u) == colon_by_definition(i, u), (i, u)
+
+    def test_far_above_the_top_exponent(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            i = MonomialIdeal(n, [tuple(rng.randint(0, 3) for _ in range(n))
+                                  for _ in range(rng.randint(1, 5))])
+            u = tuple(rng.choice((0, 1, 2, 3, 4, 5, 7, 8, 9, 100, 2**40)) for _ in range(n))
+            assert i.colon(u) == colon_by_definition(i, u), (i, u)
+
+    def test_an_overflowing_exponent_does_not_borrow(self):
+        # unclamped, the 8 would borrow from the field of x1
+        assert MonomialIdeal(2, [(1, 0)]).colon((0, 8)) == MonomialIdeal(2, [(1, 0)])
+        assert MonomialIdeal(2, [(3, 1), (0, 2)]).colon((1, 9)).gens == ((0, 0),)
+        assert MonomialIdeal(2, [(3, 1)]).colon((1, 9)).gens == ((2, 0),)
+
+    def test_unit_zero_and_one_variable(self):
+        for u in [(0, 0), (3, 0), (2**40, 7)]:
+            assert MonomialIdeal(2, [(0, 0)]).colon(u).is_unit()
+            assert MonomialIdeal(2, []).colon(u).is_zero()
+        for top in range(6):
+            for a in range(9):
+                assert MonomialIdeal(1, [(top,)]).colon((a,)).gens == ((max(top - a, 0),),)
+
+
+class TestValueObjects:
+    """The value classes compare, hash and print by their fields, and refuse
+    assignment after construction."""
+
+    @pytest.mark.parametrize("make, text", [
+        (lambda: MonomialIdeal(2, [(1, 1), (2, 0)]),
+         "MonomialIdeal(n=2, gens=((1, 1), (2, 0)))"),
+        (lambda: Graph(2, frozenset({(1, 2)})), "Graph(n=2, edges=frozenset({(1, 2)}))"),
+        (lambda: SuiteConfig(suite="remark45"),
+         "SuiteConfig(suite='remark45', nmax=None, graph6_path=None, random_count=None, "
+         "random_nmax=5, seed=0, c_policy='ones', c_value=1, c_explicit=None, char=0, "
+         "max_generators=24, max_s=None, jobs=1, ideal_max_generators=6, "
+         "ideal_max_exponent=2, samples_per_instance=3)"),
+        (lambda: VerificationReport({}, [], [], {"fail": 0}),
+         "VerificationReport(config={}, records=[], counterexamples=[], summary={'fail': 0}, "
+         "timings={})"),
+    ], ids=["MonomialIdeal", "Graph", "SuiteConfig", "VerificationReport"])
+    def test_equality_repr_and_no_assignment(self, make, text):
+        value = make()
+        assert value == make() and value != object() and repr(value) == text
+        if not isinstance(value, VerificationReport):  # its fields are mutable
+            assert hash(value) == hash(make())
+        name = text[text.index("(") + 1:text.index("=")]
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+        assert repr(value) == text
+
+    def test_equal_fields_of_another_class_differ(self):
+        assert MonomialIdeal(1, []) != Graph(1)
+        assert Graph(3) != Graph(3, frozenset({(1, 2)})) and Graph(3) == Graph(3, frozenset())
 
 
 class TestRestrictOracle:

@@ -25,7 +25,7 @@ EXPORTS = {
                  "regularity"],
     "linquot": ["SearchCapExceeded", "all_bounded_powers_lq", "find_lq_ordering",
                 "has_colon_splitting_order", "is_lq_ordering", "restrict_lq_ordering"],
-    "monomials": ["BoundVector", "Monomial", "MonomialIdeal", "colon_mono", "degree",
+    "monomials": ["BoundVector", "Monomial", "MonomialIdeal", "degree",
                   "is_bounded", "support"],
     "polymatroid": ["exchange_witness", "is_equigenerated", "is_matroidal", "is_polymatroidal"],
     "powers": ["bounded_power", "bounded_power_chain", "delta", "delta_bmatching",
@@ -61,7 +61,7 @@ def test_name_is_its_home_modules_object(module, name):
 
 
 def test_all_lists_the_names_and_no_submodule():
-    assert len(HOMES) == 47
+    assert len(HOMES) == 46
     assert sorted(boundedpowers.__all__) == sorted(name for _, name in HOMES)
     assert not set(boundedpowers.__all__) & set(SUBMODULES)
 

@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import fields, replace
 
 import pytest
 
@@ -79,6 +78,12 @@ class TestConfig:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             SuiteConfig(suite="nope")
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(TypeError, match="SuiteConfig has no field 'max_gens'"):
+            SuiteConfig(suite="rfirst", nmax=3, max_gens=5)
+        with pytest.raises(TypeError):
+            SuiteConfig(nmax=3)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -204,8 +209,8 @@ class TestConfig:
     def test_each_field_is_accepted_exactly_when_read(self, suite):
         # a field that OTHER_VALUE does not list fails here until it is added
         # to OTHER_VALUE and to spec_reads
-        assert {f.name: f.default != OTHER_VALUE.get(f.name) for f in fields(SuiteConfig)
-                if f.name != "suite"} == dict.fromkeys(OTHER_VALUE, True)
+        assert {name: default != OTHER_VALUE.get(name)
+                for name, default in SuiteConfig.DEFAULTS.items()} == dict.fromkeys(OTHER_VALUE, True)
         wrong = []
         for corpus in ({}, dict(nmax=3), dict(graph6_path="g.g6"), dict(random_count=2)):
             for policy in ({}, dict(c_policy="constant"), dict(c_policy="random"),
@@ -528,7 +533,7 @@ def fail_on_an_edge(monkeypatch):
         return inst.record(not edges, f"first edge {edges[0]}" if edges else "edgeless")
 
     monkeypatch.setitem(suites._SUITES, "deg2",
-                        replace(suites._SUITES["deg2"], evaluate=suites._GraphSuite(check)))
+                        suites._SUITES["deg2"]._replace(evaluate=suites._GraphSuite(check)))
 
 
 class TestIsomorphismMemo:
