@@ -12,15 +12,15 @@ homology on squarefree ideals and the degreewise strands of the full
 generator-subset resolution.  Each route returns the nonzero beta_{i,j} as a
 plain map {(i, j): beta} in sorted key order.
 
-``betti_table`` runs on the ideal's packed view (``MonomialIdeal._packed``),
-whose ``w``-bit fields have room for one more than the largest exponent; the
-top bit of each field is a guard bit, and ``H`` and ``L`` hold a guard bit and
-a 1 in every field.  The lcm lattice is closed under a branch-free field-wise
-max: ``ge = ((a | H) - b) & H`` has the guard bit of each field where
-``a >= b``, ``mask = ge - (ge >> (w - 1))`` fills the low bits of those
-fields, and ``max(a, b) = (a & mask) | (b & ~mask)``.  At a lattice point
-``m``, a generator ``g`` divides ``m`` iff ``((m | H) - g) & H == H``, and
-then ``((m | H) - g - L) & H`` has the guard bit of each variable with
+``betti_table`` runs on the packed view the ideal is born with
+(``MonomialIdeal._packed``), whose ``w``-bit fields have a capacity above
+every exponent; the top bit of each field is a guard bit, and ``H`` and ``L``
+hold a guard bit and a 1 in every field.  The lcm lattice is closed under a
+branch-free field-wise max: ``ge = ((a | H) - b) & H`` has the guard bit of
+each field where ``a >= b``, ``mask = ge - (ge >> (w - 1))`` fills the low
+bits of those fields, and ``max(a, b) = (a & mask) | (b & ~mask)``.  At a
+point ``m``, a generator ``g`` divides ``m`` iff ``((m | H) - g) & H == H``,
+and then ``((m | H) - g - L) & H`` has the guard bit of each variable with
 ``g_i < m_i``.  That mask is a facet of the upper Koszul complex at ``m``;
 its faces are the submasks of the facets, grouped by popcount, and the
 boundary of a face is keyed by the face with one guard bit cleared.

@@ -103,12 +103,12 @@ def _lq_pair_data(ideal: MonomialIdeal):
     The support mask is 0 only when gens[j] divides gens[i], so off the
     diagonal it is never 0 for the minimal generators of a ``MonomialIdeal``;
     ``search_ordering`` can therefore read a 0 as a pair met in advance.
-    Both come from the ideal's packed view.  With guard bits H and a 1 in
-    every field L, field k of ``e = (g_j | H) - g_i - L`` keeps its guard bit
-    iff a_k > b_k, so ``e & H`` is the support mask; the colon is a variable
-    iff that mask has one bit and ``(e - L) & mask == 0``, i.e.
-    a_k - b_k == 1.  Mask bits are therefore guard-bit positions, not
-    variable indices.
+    Both come from the ideal's packed view, whose field capacity is above
+    every exponent.  With guard bits H and a 1 in every field L, field k of
+    ``e = (g_j | H) - g_i - L`` keeps its guard bit iff a_k > b_k, so ``e & H``
+    is the support mask, and no field of ``e - L`` borrows; the colon is a
+    variable iff that mask has one bit and ``(e - L) & mask == 0``, i.e.
+    a_k - b_k == 1.  Mask bits are guard-bit positions, not variable indices.
     """
     packing, packed = ideal._packed
     guard, ones = packing.guard, packing.ones

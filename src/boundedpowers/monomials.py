@@ -5,17 +5,15 @@ length n (the ambient variable count).  Variables are 1-based, so the exponent
 of x_i lives at index i-1.  A :class:`MonomialIdeal` stores the canonical
 minimal generating set, which its constructor makes from any generators:
 sorted lexicographically, pairwise non-dividing.  Equality of ideals is
-equality of representations.  A colon ideal is computed on the ideal's packed
-view: each generator g : u is one subtraction and two masks (``colon``).
+equality of representations.  Every ideal is born with its packed view: one
+constructor core minimalizes packed ints, from tuples or straight from packed
+colons, restrictions and bounded-power levels.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
-from itertools import combinations_with_replacement, groupby
 from math import isqrt
-from operator import le
 from typing import Iterable, Sequence
 
 Monomial = tuple[int, ...]
@@ -75,22 +73,24 @@ class _Packing:
     """Monomials in n variables packed into one int, for the hot loops.
 
     Each exponent gets a field of ``width`` bits; the low ``width - 1`` bits
-    hold values 0..top and the field's top bit is a guard bit.  Variable 1
-    sits in the most significant field, so the numeric order of packed ints
-    is the lexicographic order of their exponent vectors.  While every field
-    stays below its guard, a field-wise comparison is one subtraction and a
-    mask: ``v`` divides ``u`` iff ``((u | guard) - v) & guard == guard``.
+    hold values 0..cap, with cap above the largest exponent stored (``top``),
+    and the field's top bit is a guard bit.  Variable 1 sits in the most
+    significant field, so the numeric order of packed ints is the
+    lexicographic order of their exponent vectors.  While every field stays
+    below its guard, a field-wise comparison is one subtraction and a mask:
+    ``v`` divides ``u`` iff ``((u | guard) - v) & guard == guard``.
     """
 
     def __init__(self, n: int, top: int) -> None:
-        self.width = w = top.bit_length() + 1
+        self.width = w = (top + 1).bit_length() + 1
+        self.cap = (1 << w - 1) - 1
         self.ones = sum(1 << (k * w) for k in range(n))  # a 1 in every field
         self.guard = self.ones << (w - 1)
         self._shifts = tuple(range((n - 1) * w, -1, -w))
         self._field = (1 << w) - 1
 
-    def pack(self, u: Sequence[int]) -> int:
-        """The packed form of an exponent vector with entries in 0..top."""
+    def pack(self, u: Iterable[int]) -> int:
+        """The packed form of an exponent vector with entries in 0..cap."""
         p = 0
         for a in u:
             p = p << self.width | a
@@ -138,12 +138,6 @@ class MonomialIdeal(_Value):
     gives the zero ideal, and ``gens == ((0,)*n,)`` is the unit ideal.  Every
     distinct input is validated once, so a wrong-length or negative monomial
     raises ValueError even when it would have been dropped.
-
-    A candidate is tested only against kept generators of strictly lower
-    degree.  That is enough: a proper divisor has lower degree, and two
-    distinct monomials of equal degree never divide each other, so an
-    equigenerated input (every bounded power of an edge ideal) makes no
-    divisibility test at all.
     """
 
     _fields = ("n", "gens")
@@ -155,13 +149,36 @@ class MonomialIdeal(_Value):
         for u in distinct:
             if len(u) != n or min(u) < 0:
                 _check_monomial(n, u)  # raises, naming the fault
-        kept: list[Monomial] = []
-        for _, same_degree in groupby(sorted(distinct, key=sum), key=sum):
-            if kept:
-                lower = tuple(kept)
-                same_degree = [u for u in same_degree if not any(all(map(le, v, u)) for v in lower)]
-            kept.extend(same_degree)
-        self.__dict__.update(n=n, gens=tuple(sorted(kept)))
+        packing = _Packing(n, max(map(max, distinct), default=0))
+        self._keep_minimal(n, packing, list(map(packing.pack, distinct)))
+
+    @classmethod
+    def _from_packed(cls, n: int, packing: _Packing, packed: Iterable[int]) -> "MonomialIdeal":
+        """The ideal generated by distinct packed monomials, unvalidated."""
+        return cls.__new__(cls)._keep_minimal(n, packing, packed)
+
+    def _keep_minimal(self, n: int, packing: _Packing, packed: Iterable[int]) -> "MonomialIdeal":
+        """The constructor core: of distinct packed monomials, each unpacked
+        once, keep the minimal ones as ``gens`` and as the packed view
+        ``_packed = (packing, packed gens)``, both in lexicographic order.
+        A candidate is tested only against kept generators of strictly lower
+        degree: a proper divisor has lower degree, and two distinct monomials
+        of equal degree never divide each other, so an equigenerated input
+        (every bounded power of an edge ideal) makes no divisibility test.
+        """
+        unpacked = {p: packing.unpack(p) for p in packed}
+        by_degree: dict[int, list[int]] = {}
+        for p, u in unpacked.items():
+            by_degree.setdefault(sum(u), []).append(p)
+        guard, kept = packing.guard, []
+        for d in sorted(by_degree):
+            lower = tuple(kept)
+            kept += [p for p in by_degree[d]
+                     if not (lower and any(((p | guard) - v) & guard == guard for v in lower))]
+        kept.sort()  # numeric order is lexicographic order
+        self.__dict__.update(n=n, gens=tuple([unpacked[p] for p in kept]),
+                             _packed=(packing, tuple(kept)))
+        return self
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -169,21 +186,17 @@ class MonomialIdeal(_Value):
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and degree(self.gens[0]) == 0
 
-    @cached_property
-    def _packed(self) -> tuple[_Packing, tuple[int, ...]]:
-        """The one packed view of the generators, with room for one more than
-        the top exponent."""
-        packing = _Packing(self.n, max(map(max, self.gens), default=0) + 1)
-        return packing, tuple(packing.pack(g) for g in self.gens)
+    def _divisors(self, u: Monomial) -> list[int]:
+        """The packed generators dividing u, with u clamped to the field capacity."""
+        u = _check_monomial(self.n, u)
+        packing, gens = self._packed
+        guard = packing.guard
+        guarded = packing.pack(min(a, packing.cap) for a in u) | guard
+        return [g for g in gens if (guarded - g) & guard == guard]
 
     def contains(self, u: Monomial) -> bool:
-        """Ideal membership on the packed view: u is clamped to the field
-        capacity, which no generator exponent reaches, keeping its divisors."""
-        _check_monomial(self.n, u)
-        packing, gens = self._packed
-        cap, guard = (1 << packing.width - 1) - 1, packing.guard
-        guarded = packing.pack(min(a, cap) for a in u) | guard
-        return any((guarded - g) & guard == guard for g in gens)
+        """Ideal membership: whether some generator divides u."""
+        return bool(self._divisors(u))
 
     def restrict(self, c: BoundVector) -> "MonomialIdeal":
         """The subideal generated by the c-bounded monomials of self.
@@ -191,23 +204,16 @@ class MonomialIdeal(_Value):
         Keeping exactly the c-bounded generators is sound: any c-bounded member
         of the ideal is divisible by a generator, which is then c-bounded too.
         """
-        c = _check_monomial(self.n, c)
-        return MonomialIdeal(self.n, (g for g in self.gens if is_bounded(g, c)))
+        return MonomialIdeal._from_packed(self.n, self._packed[0], self._divisors(c))
 
     def power(self, s: int) -> "MonomialIdeal":
-        """The s-th ordinary power, s >= 1, by multiset products of generators."""
+        """The s-th ordinary power, s >= 1: the bounded power under c = s times
+        the largest exponent of each variable (0 in the zero ideal), which every
+        s-fold product meets."""
         if s < 1:
             raise ValueError(f"power wants s >= 1, got {s}")
-        if self.is_zero() or s == 1:
-            return self
-        products = set()
-        for combo in combinations_with_replacement(self.gens, s):
-            prod = [0] * self.n
-            for g in combo:
-                for i, a in enumerate(g):
-                    prod[i] += a
-            products.add(tuple(prod))
-        return MonomialIdeal(self.n, products)
+        from .powers import bounded_power
+        return bounded_power(self, s, tuple(s * max(col) for col in zip((0,) * self.n, *self.gens)))
 
     def colon(self, u: Monomial) -> "MonomialIdeal":
         """The colon ideal (self : u), generated by the g : u over generators g.
@@ -218,15 +224,14 @@ class MonomialIdeal(_Value):
         """
         u = _check_monomial(self.n, u)
         packing, gens = self._packed
-        low = packing.width - 1
-        guard = packing.guard
-        clamped = packing.pack(min(a, (1 << low) - 1) for a in u)
+        low, guard = packing.width - 1, packing.guard
+        clamped = packing.pack(min(a, packing.cap) for a in u)
         colons = set()
         for g in gens:
             d = (g | guard) - clamped
             ge = d & guard
             colons.add(d & (ge - (ge >> low)))
-        return MonomialIdeal(self.n, map(packing.unpack, colons))
+        return MonomialIdeal._from_packed(self.n, packing, colons)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "gens": [list(g) for g in self.gens]})

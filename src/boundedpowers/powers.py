@@ -5,14 +5,15 @@ c-bounded members.  Products are enumerated level by level, discarding any
 partial product that already exceeds the bound (sound because exponents only
 grow), so the full power is never materialized.
 
-The level loop runs on packed monomials (``monomials._Packing``).  Each
-exponent gets a field of ``w = max(c).bit_length() + 1`` bits whose top bit
-is a guard bit, with variable 1 in the most significant field.  A product is
-one addition ``p + g``, and ``q`` is c-bounded iff ``(q + offset) & guard`` is
-0, where field k of ``offset`` holds ``2^(w-1) - 1 - c_k``.  Levels are stored
-with ``offset`` already added, which makes the bound test free.  Each level is
-decoded to tuples once and handed to the ``MonomialIdeal`` constructor, which
-drops the products that are not minimal.
+The level loop runs on packed monomials (``monomials._Packing``), one packing
+for every level of a chain.  Each exponent gets a field of ``w`` bits whose
+top bit is a guard bit and whose capacity ``2^(w-1) - 1`` is above max(c),
+with variable 1 in the most significant field.  A product is one addition
+``p + g``, and ``q`` is c-bounded iff ``(q + offset) & guard`` is 0, where
+field k of ``offset`` holds ``2^(w-1) - 1 - c_k``.  Levels are stored with
+``offset`` already added, which makes the bound test free.  Each level goes
+packed to the ``MonomialIdeal`` constructor core, which drops the products
+that are not minimal.  ``MonomialIdeal.power`` is a bounded power too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .monomials import (
     _check_monomial,
     _Packing,
     degree,
-    is_bounded,
 )
 
 
@@ -37,11 +37,11 @@ def _bounded_levels(ideal: MonomialIdeal, c: BoundVector, max_level: int) -> lis
     packing = _Packing(ideal.n, max(c))
     guard = packing.guard
     offset = guard - packing.ones - packing.pack(c)
-    gens = [packing.pack(g) for g in ideal.gens if is_bounded(g, c)]
+    gens = [packing.pack(g) for g in ideal.restrict(c).gens]
     levels: list[MonomialIdeal] = []
     current = {offset + g for g in gens}
     while current and len(levels) < max_level:
-        levels.append(MonomialIdeal(ideal.n, (packing.unpack(u - offset) for u in current)))
+        levels.append(MonomialIdeal._from_packed(ideal.n, packing, [u - offset for u in current]))
         current = {q for p in current for g in gens if not (q := p + g) & guard}
     return levels
 
@@ -65,10 +65,9 @@ def squarefree_power(ideal: MonomialIdeal, s: int) -> MonomialIdeal:
 def bounded_power_chain(ideal: MonomialIdeal, c: BoundVector) -> list[MonomialIdeal]:
     """All nonzero bounded powers [(I^1)_c, ..., (I^delta)_c] in one pass."""
     c = _check_monomial(ideal.n, c)
-    _check_proper(ideal)
-    mindeg = min((degree(g) for g in ideal.gens), default=1)
-    cap = sum(c) // max(mindeg, 1) if ideal.gens else 0
-    return _bounded_levels(ideal, c, cap)
+    if ideal.is_unit():
+        raise ValueError("delta is unbounded for the unit ideal")
+    return _bounded_levels(ideal, c, sum(c) // min(map(degree, ideal.gens), default=1))
 
 
 def delta(ideal: MonomialIdeal, c: BoundVector) -> int:
@@ -78,11 +77,6 @@ def delta(ideal: MonomialIdeal, c: BoundVector) -> int:
     k * (minimal generator degree) and at most |c|.
     """
     return len(bounded_power_chain(ideal, c))
-
-
-def _check_proper(ideal: MonomialIdeal) -> None:
-    if ideal.is_unit():
-        raise ValueError("delta is unbounded for the unit ideal")
 
 
 def delta_bmatching(graph: Graph, c: BoundVector) -> int:

@@ -1,5 +1,8 @@
 """Fixtures and oracles shared across test modules."""
 
+from itertools import groupby
+from operator import le
+
 import pytest
 
 from boundedpowers import powers
@@ -24,6 +27,22 @@ def colon_mono(u, v):
     oracle for ``MonomialIdeal.colon``, which computes it on packed ints."""
     assert len(u) == len(v), (u, v)
     return tuple(max(a - b, 0) for a, b in zip(u, v))
+
+
+def minimal_gens(gens):
+    """The canonical minimal generating set of the given exponent tuples:
+    distinct, no strict multiples, sorted lexicographically.  Each degree
+    group is tested only against the kept monomials of lower degree, on
+    tuples.  The oracle for every way a ``MonomialIdeal`` is built, which all
+    run one rule on packed ints."""
+    distinct = set(map(tuple, gens))
+    kept = []
+    for _, same_degree in groupby(sorted(distinct, key=sum), key=sum):
+        if kept:
+            lower = tuple(kept)
+            same_degree = [u for u in same_degree if not any(all(map(le, v, u)) for v in lower)]
+        kept.extend(same_degree)
+    return tuple(sorted(kept))
 
 
 def matching_number(graph) -> int:

@@ -238,20 +238,35 @@ class TestPairTable:
             mask &= mask - 1
         return found
 
+    def assert_masks_match(self, ideal):
+        width = ideal._packed[0].width
+        supp_masks, var_bits = _lq_pair_data(ideal)
+        for j, gj in enumerate(ideal.gens):
+            for i, gi in enumerate(ideal.gens):
+                colon = colon_mono(gj, gi)
+                support = {k + 1 for k, a in enumerate(colon) if a}
+                assert self.variables_of(supp_masks[j][i], ideal.n, width) == support
+                expected = supp_masks[j][i] if degree(colon) == 1 else 0
+                assert var_bits[j][i] == expected, (ideal, gj, gi)
+
     @pytest.mark.parametrize("max_exp", [1, 2, 3, 6, 7, 8])
     def test_masks_match_colon_mono(self, max_exp):
         rng = random.Random(31 + max_exp)
         for _ in range(40):
-            ideal = random_ideal(rng, nmax=12, max_gens=6, max_exp=max_exp)
-            width = ideal._packed[0].width
-            supp_masks, var_bits = _lq_pair_data(ideal)
-            for j, gj in enumerate(ideal.gens):
-                for i, gi in enumerate(ideal.gens):
-                    colon = colon_mono(gj, gi)
-                    support = {k + 1 for k, a in enumerate(colon) if a}
-                    assert self.variables_of(supp_masks[j][i], ideal.n, width) == support
-                    expected = supp_masks[j][i] if degree(colon) == 1 else 0
-                    assert var_bits[j][i] == expected
+            self.assert_masks_match(random_ideal(rng, nmax=12, max_gens=6, max_exp=max_exp))
+
+    @pytest.mark.parametrize("top", [1, 3, 7])
+    def test_masks_match_colon_mono_on_chain_levels(self, top):
+        # chain levels share a packing made for max(c); with max(c) one below
+        # a power of two, a level can hold an exponent at max(c) next to a 0
+        rng = random.Random(53 + top)
+        edge = MonomialIdeal(2, [(2, 0), (0, top)])  # x1^2 : x2^top sits next to a 0
+        self.assert_masks_match(bounded_power_chain(edge, (top, top))[0])
+        for _ in range(30):
+            ideal = random_ideal(rng, nmax=4, max_gens=4, max_exp=top)
+            c = tuple(rng.choice((top, rng.randint(1, top))) for _ in range(ideal.n))
+            for level in bounded_power_chain(ideal, c)[:3]:
+                self.assert_masks_match(level)
 
     def test_off_diagonal_masks_are_nonzero(self):
         # search_ordering reads a 0 need mask as a pair met in advance, so

@@ -1,7 +1,7 @@
 """Core monomial and ideal arithmetic, checked against enumeration oracles."""
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +11,10 @@ from boundedpowers import (
     MonomialIdeal,
     SuiteConfig,
     VerificationReport,
+    bounded_power_chain,
     is_bounded,
 )
-from conftest import colon_mono
+from conftest import colon_mono, minimal_gens
 
 
 def ideal(n, *gens):
@@ -223,6 +224,11 @@ class TestPackedMembership:
             assert MonomialIdeal(2, [(0, 0)]).contains(u)
             assert not MonomialIdeal(2, []).contains(u)
 
+    def test_takes_any_iterable_once(self):
+        i = MonomialIdeal(2, [(1, 0)])
+        assert i.contains(iter((1, 0))) and i.contains([2, 1])
+        assert not i.contains(iter((0, 5)))
+
     def test_view_is_built_once_and_leaves_equality_alone(self):
         i = ideal(2, (2, 0), (1, 1))
         assert i._packed is i._packed
@@ -269,6 +275,86 @@ class TestPackedColon:
         for top in range(6):
             for a in range(9):
                 assert MonomialIdeal(1, [(top,)]).colon((a,)).gens == ((max(top - a, 0),),)
+
+
+class TestBornPacked:
+    """Every way an ideal is built (the constructor, ``colon``, ``restrict``,
+    the bounded-power levels and ``power``) gives the generators of the tuple
+    oracle ``minimal_gens``, with a packed view that unpacks to them and a
+    field capacity above every exponent."""
+
+    @staticmethod
+    def assert_born(ideal, gens):
+        assert ideal.gens == minimal_gens(gens), (ideal, gens)
+        packing, packed = ideal._packed
+        assert tuple(map(packing.unpack, packed)) == ideal.gens
+        assert all(a < packing.cap for g in ideal.gens for a in g)
+
+    @staticmethod
+    def inputs(seed, count):
+        """Seeded mixed-degree generator lists with duplicates, strict
+        multiples, the zero and unit ideals, and exponents on either side of
+        a change of field width."""
+        rng = random.Random(seed)
+        yield 2, []
+        yield 2, [(0, 0), (1, 1), (0, 0)]
+        for _ in range(count):
+            n = rng.randint(1, 4)
+            top = rng.choice((1, 2, 3, 4, 6, 7, 8, 15))
+            values = (0, 1, top - 1, top)
+            pool = [tuple(rng.choice(values + (rng.randint(0, top),)) for _ in range(n))
+                    for _ in range(rng.randint(1, 6))]
+            pool += rng.choices(pool, k=len(pool) // 2)
+            pool += [tuple(a + rng.randint(0, 1) for a in g) for g in rng.choices(pool, k=2)]
+            if rng.random() < 0.05:
+                pool.append((0,) * n)
+            yield n, pool
+
+    @staticmethod
+    def probes(rng, ideal):
+        """Monomials at, below and above the field capacity of the view."""
+        cap, top = ideal._packed[0].cap, max(map(max, ideal.gens), default=0)
+        values = (0, 1, top - 1, top, cap - 1, cap, cap + 1, 2**40)
+        return [tuple(max(rng.choice(values), 0) for _ in range(ideal.n)) for _ in range(4)]
+
+    def test_constructor(self):
+        for n, pool in self.inputs(59, 300):
+            self.assert_born(MonomialIdeal(n, pool), pool)
+
+    def test_colon_and_restrict(self):
+        rng = random.Random(61)
+        for n, pool in self.inputs(67, 300):
+            ideal = MonomialIdeal(n, pool)
+            for u in self.probes(rng, ideal):
+                self.assert_born(ideal.colon(u), [colon_mono(g, u) for g in ideal.gens])
+                self.assert_born(ideal.restrict(u), [g for g in ideal.gens if is_bounded(g, u)])
+
+    def test_bounded_power_chain_levels(self):
+        rng = random.Random(71)
+        for n, pool in self.inputs(73, 150):
+            ideal = MonomialIdeal(n, pool)
+            if ideal.is_unit() or ideal.is_zero():
+                continue
+            # max(c) at 1, 3 or 7 fills the field a packing for max(c) - 1 has
+            c = tuple(rng.choice((1, 2, 3, 4, 7)) for _ in range(n))
+            base = [g for g in ideal.gens if is_bounded(g, c)]
+            level = set(base)
+            for built in bounded_power_chain(ideal, c):
+                self.assert_born(built, level)
+                # colons of a level run on the packing the chain shares
+                for u in self.probes(rng, built)[:2]:
+                    self.assert_born(built.colon(u), [colon_mono(g, u) for g in built.gens])
+                level = {p for q in level for g in base
+                         if is_bounded(p := tuple(map(sum, zip(q, g))), c)}
+            assert not level
+
+    def test_power(self):
+        for n, pool in self.inputs(79, 120):
+            ideal = MonomialIdeal(n, pool)
+            for s in (1, 2, 3):
+                products = [tuple(map(sum, zip(*combo)))
+                            for combo in combinations_with_replacement(ideal.gens, s)]
+                self.assert_born(ideal.power(s), products)
 
 
 class TestValueObjects:
