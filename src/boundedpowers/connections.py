@@ -38,6 +38,7 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     _check_monomial,
+    _Packing,
     is_bounded,
 )
 
@@ -204,7 +205,8 @@ def colon_quadrics(graph: Graph, c: BoundVector, u: Monomial) -> MonomialIdeal:
     counts = edge_factorization(graph, u)
     if counts is None or not is_bounded(u, c):
         raise ValueError("u is not a minimal generator of a bounded power")
-    quadrics = []
+    packing = _Packing(graph.n, 2)
+    x, quadrics = packing.variables, []
     for i in range(1, graph.n + 1):
         targets = None  # searched only once some pair (i, j) needs it
         for j in range(i, graph.n + 1):
@@ -217,8 +219,5 @@ def colon_quadrics(graph: Graph, c: BoundVector, u: Monomial) -> MonomialIdeal:
                     targets = _targets(graph, counts, i)
                 if j not in targets:
                     continue
-            q = [0] * graph.n
-            q[i - 1] += 1
-            q[j - 1] += 1
-            quadrics.append(tuple(q))
-    return MonomialIdeal(graph.n, quadrics)
+            quadrics.append(x[i - 1] + x[j - 1])
+    return MonomialIdeal._from_packed(graph.n, packing, quadrics)

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .monomials import MonomialIdeal, _is_int_rows, _Value
+from .monomials import MonomialIdeal, _is_int_rows, _Packing, _Value
 
 Edge = tuple[int, int]
 
@@ -77,13 +77,9 @@ class Graph(_Value):
 
     def edge_ideal(self) -> MonomialIdeal:
         """One squarefree quadric x_i*x_j per edge; edgeless gives the zero ideal."""
-        gens = []
-        for i, j in self.edges:
-            g = [0] * self.n
-            g[i - 1] = 1
-            g[j - 1] = 1
-            gens.append(tuple(g))
-        return MonomialIdeal(self.n, gens)
+        packing = _Packing(self.n, 1)
+        quadrics = [packing.variables[i - 1] + packing.variables[j - 1] for i, j in self.edges]
+        return MonomialIdeal._from_packed(self.n, packing, quadrics)
 
     def complement(self) -> "Graph":
         all_pairs = {(i, j) for i, j in combinations(self.vertices(), 2)}

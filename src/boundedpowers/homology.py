@@ -15,15 +15,14 @@ plain map {(i, j): beta} in sorted key order.
 ``betti_table`` runs on the packed view the ideal is born with
 (``MonomialIdeal._packed``), whose ``w``-bit fields have a capacity above
 every exponent; the top bit of each field is a guard bit, and ``H`` and ``L``
-hold a guard bit and a 1 in every field.  The lcm lattice is closed under a
-branch-free field-wise max: ``ge = ((a | H) - b) & H`` has the guard bit of
-each field where ``a >= b``, ``mask = ge - (ge >> (w - 1))`` fills the low
-bits of those fields, and ``max(a, b) = (a & mask) | (b & ~mask)``.  At a
-point ``m``, a generator ``g`` divides ``m`` iff ``((m | H) - g) & H == H``,
-and then ``((m | H) - g - L) & H`` has the guard bit of each variable with
-``g_i < m_i``.  That mask is a facet of the upper Koszul complex at ``m``;
-its faces are the submasks of the facets, grouped by popcount, and the
-boundary of a face is keyed by the face with one guard bit cleared.
+hold a guard bit and a 1 in every field.  The lcm lattice is closed under
+the branch-free field-wise max ``_Packing.joins``, the one packed lcm, which
+``has_colon_splitting_order`` uses too.  At a point ``m``, a generator ``g``
+divides ``m`` iff ``((m | H) - g) & H == H``, and then ``((m | H) - g - L) & H``
+has the guard bit of each variable with ``g_i < m_i``.  That mask is a facet
+of the upper Koszul complex at ``m``; its faces are the submasks of the
+facets, grouped by popcount, and the boundary of a face is keyed by the face
+with one guard bit cleared.
 
 The homology is taken relative to a vertex star.  For a vertex v of the
 complex, the star st(v), the faces f with f | {v} a face, is a cone, so it is
@@ -53,7 +52,6 @@ from .monomials import (
     _Packing,
     check_characteristic,
     degree,
-    lcm,
     support,
 )
 
@@ -166,15 +164,10 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
 def _packed_lattice(packing: _Packing, gens: tuple[int, ...]) -> set[int]:
     """The lcm lattice of packed generators, closed under the field-wise max in
     one pass: each generator b adds itself and its join with every point so far."""
-    guard, shift = packing.guard, packing.width - 1
     lattice: set[int] = set()
     for b in gens:
-        joins = {b}
-        for a in lattice:
-            ge = ((a | guard) - b) & guard
-            mask = ge - (ge >> shift)
-            joins.add((a & mask) | (b & ~mask))
-        lattice |= joins
+        lattice.update(packing.joins(b, lattice))
+        lattice.add(b)
     return lattice
 
 
@@ -336,7 +329,7 @@ def betti_table_taylor(ideal: MonomialIdeal, char: int = 0) -> dict[tuple[int, i
     for mask in range(1, 1 << m):
         low = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
-        value = gens[low] if not rest else lcm(lcm_of[rest], gens[low])
+        value = gens[low] if not rest else tuple(map(max, lcm_of[rest], gens[low]))
         lcm_of[mask] = value
         groups.setdefault(value, []).append(mask)
     table: dict[tuple[int, int], int] = {}

@@ -13,8 +13,6 @@ search with some pairs met in advance.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .graphs import Graph
 from .monomials import (
     BoundVector,
@@ -22,7 +20,6 @@ from .monomials import (
     _check_monomial,
     degree,
     is_bounded,
-    lcm,
 )
 from .powers import bounded_power_chain
 
@@ -155,14 +152,24 @@ def has_colon_splitting_order(
     This is the linear quotients search with the pairs of the first kind met
     in advance: their need masks are cleared.  As (u_j : u_i) * u_i is
     lcm(u_i, u_j), a pair is of the first kind iff nxt holds that lcm, so the
-    test is symmetric and builds no colon ideal.  Refuses ideals above the cap.
+    test is symmetric and builds no colon ideal.  The generators of ``power``
+    are packed once on nxt's view, clamped to its field capacity (above every
+    generator of nxt, and the clamp commutes with the lcm); a pair is met when
+    a packed generator of nxt divides its ``_Packing.joins``.  Refuses ideals
+    above the cap, and ideals in different ambient rings.
     """
-    gens = power.gens
-    _check_cap(len(gens), max_generators, "labeling")
+    if power.n != nxt.n:
+        raise ValueError(f"ambient mismatch: {power.n} vs {nxt.n} variables")
+    _check_cap(len(power.gens), max_generators, "labeling")
     needs, var_bits = _lq_pair_data(power)
-    for i, j in combinations(range(len(gens)), 2):
-        if nxt.contains(lcm(gens[i], gens[j])):
-            needs[i][j] = needs[j][i] = 0
+    packing, divisors = nxt._packed
+    guard, cap = packing.guard, packing.cap
+    packed = [packing.pack(min(a, cap) for a in u) for u in power.gens]
+    for i, b in enumerate(packed):
+        for j, m in enumerate(packing.joins(b, packed[i + 1:]), start=i + 1):
+            guarded = m | guard
+            if any((guarded - g) & guard == guard for g in divisors):
+                needs[i][j] = needs[j][i] = 0
     return search_ordering(needs, var_bits) is not None
 
 

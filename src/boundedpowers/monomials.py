@@ -28,14 +28,10 @@ def support(u: Monomial) -> tuple[int, ...]:
     return tuple(i + 1 for i, a in enumerate(u) if a > 0)
 
 
-def lcm(u: Monomial, v: Monomial) -> Monomial:
-    _check_same_ambient(u, v)
-    return tuple(max(a, b) for a, b in zip(u, v))
-
-
 def is_bounded(u: Monomial, c: BoundVector) -> bool:
     """True iff u is entrywise <= c.  With c = (1,...,1) this is squarefreeness."""
-    _check_same_ambient(u, c)
+    if len(u) != len(c):
+        raise ValueError(f"ambient mismatch: {len(u)} vs {len(c)}")
     return all(a <= b for a, b in zip(u, c))
 
 
@@ -44,11 +40,6 @@ def check_characteristic(char: int) -> None:
     characteristics that homology computes over."""
     if char != 0 and (char < 2 or any(char % d == 0 for d in range(2, isqrt(char) + 1))):
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
-
-
-def _check_same_ambient(u: Sequence[int], v: Sequence[int]) -> None:
-    if len(u) != len(v):
-        raise ValueError(f"ambient mismatch: {len(u)} vs {len(v)}")
 
 
 def _is_int_rows(rows: object, width: int | None = None) -> bool:
@@ -88,18 +79,33 @@ class _Packing:
         self.guard = self.ones << (w - 1)
         self._shifts = tuple(range((n - 1) * w, -1, -w))
         self._field = (1 << w) - 1
+        self.variables = tuple(1 << shift for shift in self._shifts)  # x_1..x_n
 
     def pack(self, u: Iterable[int]) -> int:
         """The packed form of an exponent vector with entries in 0..cap."""
-        p = 0
+        p, w = 0, self.width
         for a in u:
-            p = p << self.width | a
+            p = p << w | a
         return p
 
     def unpack(self, p: int) -> Monomial:
         """The exponent vector in the n fields of p; bits above them are ignored."""
         field = self._field
         return tuple([p >> shift & field for shift in self._shifts])
+
+    def joins(self, b: int, points: Iterable[int]) -> list[int]:
+        """The field-wise max (the lcm) of packed b with each packed point,
+        all fields in 0..cap.  ``ge = ((a | guard) - b) & guard`` has the guard
+        bit of each field where a >= b, ``mask = ge - (ge >> (width - 1))``
+        fills the low bits of those fields, and the join takes a there and b
+        elsewhere."""
+        guard, shift = self.guard, self.width - 1
+        out = []
+        for a in points:
+            ge = ((a | guard) - b) & guard
+            mask = ge - (ge >> shift)
+            out.append((a & mask) | (b & ~mask))
+        return out
 
 
 class _Value:
@@ -150,23 +156,23 @@ class MonomialIdeal(_Value):
             if len(u) != n or min(u) < 0:
                 _check_monomial(n, u)  # raises, naming the fault
         packing = _Packing(n, max(map(max, distinct), default=0))
-        self._keep_minimal(n, packing, list(map(packing.pack, distinct)))
+        self._keep_minimal(n, packing, {packing.pack(u): u for u in distinct})
 
     @classmethod
     def _from_packed(cls, n: int, packing: _Packing, packed: Iterable[int]) -> "MonomialIdeal":
-        """The ideal generated by distinct packed monomials, unvalidated."""
-        return cls.__new__(cls)._keep_minimal(n, packing, packed)
+        """The ideal generated by packed monomials, unvalidated."""
+        return cls.__new__(cls)._keep_minimal(n, packing, {p: packing.unpack(p) for p in packed})
 
-    def _keep_minimal(self, n: int, packing: _Packing, packed: Iterable[int]) -> "MonomialIdeal":
-        """The constructor core: of distinct packed monomials, each unpacked
-        once, keep the minimal ones as ``gens`` and as the packed view
-        ``_packed = (packing, packed gens)``, both in lexicographic order.
-        A candidate is tested only against kept generators of strictly lower
-        degree: a proper divisor has lower degree, and two distinct monomials
-        of equal degree never divide each other, so an equigenerated input
-        (every bounded power of an edge ideal) makes no divisibility test.
+    def _keep_minimal(self, n: int, packing: _Packing,
+                      unpacked: dict[int, Monomial]) -> "MonomialIdeal":
+        """The constructor core: of distinct monomials, keyed packed, keep the
+        minimal ones as ``gens`` and as the packed view ``_packed = (packing,
+        packed gens)``, both in lexicographic order.  A candidate is tested
+        only against kept generators of strictly lower degree: a proper
+        divisor has lower degree, and two distinct monomials of equal degree
+        never divide each other, so an equigenerated input (every bounded
+        power of an edge ideal) makes no divisibility test.
         """
-        unpacked = {p: packing.unpack(p) for p in packed}
         by_degree: dict[int, list[int]] = {}
         for p, u in unpacked.items():
             by_degree.setdefault(sum(u), []).append(p)
@@ -186,25 +192,20 @@ class MonomialIdeal(_Value):
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and degree(self.gens[0]) == 0
 
-    def _divisors(self, u: Monomial) -> list[int]:
-        """The packed generators dividing u, with u clamped to the field capacity."""
-        u = _check_monomial(self.n, u)
-        packing, gens = self._packed
-        guard = packing.guard
-        guarded = packing.pack(min(a, packing.cap) for a in u) | guard
-        return [g for g in gens if (guarded - g) & guard == guard]
-
-    def contains(self, u: Monomial) -> bool:
-        """Ideal membership: whether some generator divides u."""
-        return bool(self._divisors(u))
-
     def restrict(self, c: BoundVector) -> "MonomialIdeal":
         """The subideal generated by the c-bounded monomials of self.
 
         Keeping exactly the c-bounded generators is sound: any c-bounded member
         of the ideal is divisible by a generator, which is then c-bounded too.
+        Runs on the packed view, c clamped to the field capacity; u lies in
+        the ideal iff ``restrict(u)`` is not the zero ideal.
         """
-        return MonomialIdeal._from_packed(self.n, self._packed[0], self._divisors(c))
+        c = _check_monomial(self.n, c)
+        packing, gens = self._packed
+        guard = packing.guard
+        guarded = packing.pack(min(a, packing.cap) for a in c) | guard
+        return MonomialIdeal._from_packed(
+            self.n, packing, [g for g in gens if (guarded - g) & guard == guard])
 
     def power(self, s: int) -> "MonomialIdeal":
         """The s-th ordinary power, s >= 1: the bounded power under c = s times
@@ -218,7 +219,7 @@ class MonomialIdeal(_Value):
     def colon(self, u: Monomial) -> "MonomialIdeal":
         """The colon ideal (self : u), generated by the g : u over generators g.
 
-        On the packed view, u clamped as in ``contains``: ``d = (g | guard) - u``
+        On the packed view, u clamped as in ``restrict``: ``d = (g | guard) - u``
         borrows no bit between fields, ``ge = d & guard`` flags g_k >= u_k, and
         ``ge - (ge >> (width - 1))`` masks the value bits of those fields.
         """

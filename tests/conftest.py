@@ -29,6 +29,13 @@ def colon_mono(u, v):
     return tuple(max(a - b, 0) for a, b in zip(u, v))
 
 
+def member_by_definition(ideal, u):
+    """Whether some generator of the ideal divides u, entrywise on tuples: the
+    membership oracle.  The library tests membership of u as ``restrict(u)``
+    being nonzero, on packed ints."""
+    return any(all(map(le, g, u)) for g in ideal.gens)
+
+
 def minimal_gens(gens):
     """The canonical minimal generating set of the given exponent tuples:
     distinct, no strict multiples, sorted lexicographically.  Each degree

@@ -4,6 +4,7 @@ import random
 import sys
 import time
 from collections import Counter
+from types import SimpleNamespace
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
@@ -525,7 +526,7 @@ def brute_force_splitting_labeling(gens, colon_ideals) -> bool:
         i = order[pos]
         for j in order[:pos]:
             w = colon_mono(gens[j], gens[i])
-            # membership spelled out, so the oracle shares no code with contains
+            # membership spelled out, so the oracle shares no code with the library
             if any(all(a <= b for a, b in zip(g, w)) for g in colon_ideals[i].gens):
                 continue
             if any(
@@ -593,8 +594,9 @@ class TestSplittingOrder:
 def splitting_needs(monkeypatch, power, nxt):
     """The need masks that ``has_colon_splitting_order`` hands to the search."""
     seen = []
-    monkeypatch.setattr(linquot, "search_ordering", lambda needs, var_bits: seen.append(needs))
-    has_colon_splitting_order(power, nxt, max_generators=len(power.gens))
+    with monkeypatch.context() as patch:
+        patch.setattr(linquot, "search_ordering", lambda needs, var_bits: seen.append(needs))
+        has_colon_splitting_order(power, nxt, max_generators=len(power.gens))
     return seen[0]
 
 
@@ -651,3 +653,94 @@ class TestSplittingTable:
             if len(chain) >= 2 and len(chain[0].gens) >= 2:
                 chains.append(chain[:4])
         assert self.check_chains(monkeypatch, chains)
+
+
+def met_by_definition(power, nxt):
+    """The pairs (j, i), j != i, with u_j : u_i in (nxt : u_i), where nxt : u_i
+    is generated by the ``colon_mono`` of each generator of nxt by u_i and
+    membership is spelled out."""
+    met = set()
+    for i, u in enumerate(power.gens):
+        colon = [colon_mono(g, u) for g in nxt.gens]
+        for j, v in enumerate(power.gens):
+            w = colon_mono(v, u)
+            if j != i and any(all(a <= b for a, b in zip(g, w)) for g in colon):
+                met.add((j, i))
+    return met
+
+
+class TestPackedPairs:
+    """``has_colon_splitting_order`` meets a pair when a packed generator of
+    nxt divides the packed join of the two generators, on nxt's packing with
+    power's exponents clamped to its capacity.  The table it hands to the
+    search, and on few generators its answer, against the definition."""
+
+    @staticmethod
+    def check(monkeypatch, power, nxt):
+        """The number of met pairs, after checking the table and the answer."""
+        needs = splitting_needs(monkeypatch, power, nxt)
+        supp, _ = _lq_pair_data(power)
+        met = met_by_definition(power, nxt)
+        m = len(power.gens)
+        for i, j in permutations(range(m), 2):
+            expected = 0 if (j, i) in met else supp[j][i]
+            assert needs[j][i] == expected, (power, nxt, j, i)
+        if m <= 5:
+            colons = [SimpleNamespace(gens=[colon_mono(g, u) for g in nxt.gens])
+                      for u in power.gens]
+            expected = brute_force_splitting_labeling(power.gens, colons)
+            assert has_colon_splitting_order(power, nxt) == expected, (power, nxt)
+        return len(met), m * (m - 1) - len(met)
+
+    @pytest.mark.parametrize("top", [1, 3, 7])
+    def test_chain_levels_match_definition(self, monkeypatch, top):
+        # a chain's levels share one packing made for max(c); at max(c) of 1,
+        # 3 or 7 that packing is one bit wider than for max(c) - 1.  Exponents
+        # up to (top + 1) / 2 leave room for a second level that reaches top.
+        rng = random.Random(227 + top)
+        met = unmet = checked = 0
+        for _ in range(300):  # a fixed number of draws, so a broken chain fails, not hangs
+            n = rng.randint(2, 4)
+            if top == 1:
+                ideal = random_graph(rng, n).edge_ideal()
+            else:
+                ideal = MonomialIdeal(n, [tuple(rng.randint(0, (top + 1) // 2) for _ in range(n))
+                                          for _ in range(rng.randint(1, 4))])
+            if ideal.is_zero() or ideal.is_unit():
+                continue
+            c = [rng.randint(1, top) for _ in range(n)]
+            c[rng.randrange(n)] = top
+            chain = bounded_power_chain(ideal, tuple(c))
+            for power, nxt in zip(chain, chain[1:3]):
+                if 2 <= len(power.gens) <= 30:
+                    assert power._packed[0] is nxt._packed[0]
+                    found = self.check(monkeypatch, power, nxt)
+                    met, unmet, checked = met + found[0], unmet + found[1], checked + 1
+        assert checked >= 30 and met and unmet, (checked, met, unmet)
+
+    def test_independent_packings(self, monkeypatch):
+        # power is built on its own, wider packing, with exponents at, just
+        # above and far above the field capacity of nxt's packing
+        rng = random.Random(239)
+        met = unmet = wider = 0
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            top = rng.choice((1, 2, 3))
+            nxt = MonomialIdeal(n, [tuple(rng.randint(0, top) for _ in range(n))
+                                    for _ in range(rng.randint(0, 4))])
+            cap = nxt._packed[0].cap
+            values = (0, 0, 1, cap - 1, cap, cap + 1, 2 * cap + 1, 40)
+            power = MonomialIdeal(n, [tuple(rng.choice(values) for _ in range(n))
+                                      for _ in range(rng.randint(2, 6))])
+            wider += power._packed[0].width > nxt._packed[0].width
+            found = self.check(monkeypatch, power, nxt)
+            met, unmet = met + found[0], unmet + found[1]
+        assert met and unmet and wider > 100
+
+    def test_ambient_mismatch(self):
+        # refused before any pair is formed, so also with one generator
+        for power in (MonomialIdeal(2, [(1, 0), (0, 1)]), MonomialIdeal(2, [(1, 1)])):
+            with pytest.raises(ValueError, match="ambient mismatch"):
+                has_colon_splitting_order(power, MonomialIdeal(3, [(1, 1, 0)]))
+            with pytest.raises(ValueError, match="ambient mismatch"):
+                has_colon_splitting_order(power, MonomialIdeal(1, []))

@@ -14,11 +14,18 @@ from boundedpowers import (
     bounded_power_chain,
     is_bounded,
 )
-from conftest import colon_mono, minimal_gens
+from boundedpowers.monomials import _Packing
+from conftest import colon_mono, member_by_definition, minimal_gens
 
 
 def ideal(n, *gens):
     return MonomialIdeal(n, gens)
+
+
+def member(i, u):
+    """Membership as the library tests it: u lies in i iff some generator is
+    u-bounded, i.e. ``i.restrict(u)`` is not the zero ideal."""
+    return not i.restrict(u).is_zero()
 
 
 small_ideals = st.builds(
@@ -37,11 +44,11 @@ class TestMonomialOps:
         for u, v, expected in [((1, 1), (2, 1), True), ((1, 1), (1, 1), True),
                                ((2, 0), (1, 1), False)]:
             assert all(a <= b for a, b in zip(u, v)) == expected
-            assert ideal(2, u).contains(v) == expected
+            assert is_bounded(u, v) == expected
 
     def test_divides_ambient_mismatch(self):
-        with pytest.raises(ValueError):
-            ideal(1, (1,)).contains((1, 1))
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            is_bounded((1,), (1, 1))
 
     def test_colon_mono(self):
         assert colon_mono((2, 1, 0), (1, 0, 1)) == (1, 1, 0)
@@ -137,9 +144,9 @@ class TestIdealOps:
 
     def test_membership(self):
         i = ideal(2, (1, 1))
-        assert i.contains((2, 1))
-        assert not MonomialIdeal(2, []).contains((0, 0))
-        assert not ideal(3, (1, 1, 0), (0, 1, 1)).contains((1, 0, 1))
+        assert member(i, (2, 1))
+        assert not member(MonomialIdeal(2, []), (0, 0))
+        assert not member(ideal(3, (1, 1, 0), (0, 1, 1)), (1, 0, 1))
 
     def test_ambient_mismatch(self):
         i = ideal(2, (1, 1))
@@ -148,7 +155,7 @@ class TestIdealOps:
         with pytest.raises(ValueError):
             i.colon((1,))
         with pytest.raises(ValueError):
-            i.contains((1, 1, 1))
+            i.restrict((1,))
 
     def test_json_round_trip(self):
         i = ideal(3, (1, 1, 0), (0, 1, 1))
@@ -187,13 +194,15 @@ class TestIdealOps:
         assert MonomialIdeal(2, []).colon((1, 0)).is_zero()
 
 
-def member_by_definition(i, u):
-    return any(all(a <= b for a, b in zip(g, u)) for g in i.gens)
-
-
 class TestPackedMembership:
-    """``contains`` runs on the packed view and clamps u to the field
-    capacity; it must agree with the definition everywhere."""
+    """``restrict`` runs on the packed view and clamps its bound to the field
+    capacity; its generators, and so membership, must agree with the
+    definition everywhere."""
+
+    @staticmethod
+    def assert_restrict_matches(i, u):
+        assert i.restrict(u).gens == tuple(g for g in i.gens if is_bounded(g, u)), (i, u)
+        assert member(i, u) == member_by_definition(i, u), (i, u)
 
     def test_matches_definition_on_seeded_ideals(self):
         rng = random.Random(29)
@@ -202,8 +211,7 @@ class TestPackedMembership:
             i = MonomialIdeal(n, [tuple(rng.randint(0, 3) for _ in range(n))
                                   for _ in range(rng.randint(0, 5))])
             for _ in range(10):
-                u = tuple(rng.randint(0, 5) for _ in range(n))
-                assert i.contains(u) == member_by_definition(i, u), (i, u)
+                self.assert_restrict_matches(i, tuple(rng.randint(0, 5) for _ in range(n)))
 
     def test_far_above_the_top_exponent(self):
         rng = random.Random(31)
@@ -212,27 +220,47 @@ class TestPackedMembership:
             i = MonomialIdeal(n, [tuple(rng.randint(0, 3) for _ in range(n))
                                   for _ in range(rng.randint(1, 5))])
             u = tuple(rng.choice((0, 1, 2, 3, 4, 8, 9, 100, 2**40)) for _ in range(n))
-            assert i.contains(u) == member_by_definition(i, u), (i, u)
+            self.assert_restrict_matches(i, u)
 
     def test_an_overflowing_exponent_does_not_carry(self):
         # unclamped, the 8 would spill into the field of x1
-        assert not MonomialIdeal(2, [(1, 0)]).contains((0, 8))
-        assert MonomialIdeal(2, [(1, 0)]).contains((1, 8))
+        assert MonomialIdeal(2, [(1, 0)]).restrict((0, 8)).is_zero()
+        assert MonomialIdeal(2, [(1, 0), (0, 1)]).restrict((0, 8)).gens == ((0, 1),)
+        assert member(MonomialIdeal(2, [(1, 0)]), (1, 8))
 
     def test_unit_and_zero_ideals(self):
         for u in [(0, 0), (3, 0), (2**40, 7)]:
-            assert MonomialIdeal(2, [(0, 0)]).contains(u)
-            assert not MonomialIdeal(2, []).contains(u)
+            assert MonomialIdeal(2, [(0, 0)]).restrict(u).is_unit()
+            assert MonomialIdeal(2, []).restrict(u).is_zero()
 
     def test_takes_any_iterable_once(self):
         i = MonomialIdeal(2, [(1, 0)])
-        assert i.contains(iter((1, 0))) and i.contains([2, 1])
-        assert not i.contains(iter((0, 5)))
+        assert i.restrict(iter((1, 0))) == i and i.restrict([2, 1]) == i
+        assert i.restrict(iter((0, 5))).is_zero()
 
     def test_view_is_built_once_and_leaves_equality_alone(self):
         i = ideal(2, (2, 0), (1, 1))
         assert i._packed is i._packed
         assert i == ideal(2, (1, 1), (2, 0)) and hash(i) == hash(ideal(2, (2, 0), (1, 1)))
+
+
+class TestJoins:
+    """``_Packing.joins``, the one packed lcm, against the tuple max, with
+    fields at, just below and well below the capacity."""
+
+    @pytest.mark.parametrize("top", [0, 1, 2, 3, 6, 7, 8, 15])
+    def test_matches_tuple_max(self, top):
+        rng = random.Random(83 + top)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            packing = _Packing(n, top)
+            values = (0, 1, top, packing.cap - 1, packing.cap)
+            points = [tuple(rng.choice(values + (rng.randint(0, packing.cap),)) for _ in range(n))
+                      for _ in range(rng.randint(1, 6))]
+            packed = list(map(packing.pack, points))
+            for b, p in zip(points, packed):
+                joins = list(map(packing.unpack, packing.joins(p, packed)))
+                assert joins == [tuple(map(max, a, b)) for a in points], (top, b, points)
 
 
 def colon_by_definition(i, u):
@@ -406,7 +434,7 @@ class TestRestrictOracle:
         members = [
             u
             for u in product(*[range(x + 1) for x in c])
-            if i.contains(u)
+            if member_by_definition(i, u)
         ]
         assert i.restrict(c) == MonomialIdeal(i.n, members)
 
