@@ -13,7 +13,7 @@ layers it runs.
 # home module -> the names re-exported from it
 _EXPORTS = {
     "connections": ("colon_quadrics", "edge_factorization", "even_connected_targets",
-                    "find_even_connection", "is_valid_even_connection"),
+                    "find_even_connection"),
     "graphs": ("Graph", "Graph6Error", "complete_graph", "cycle_graph",
                "enumerate_labeled_graphs", "parse_graph6", "path_graph", "read_graph6_file"),
     "homology": ("betti_table", "betti_table_hochster", "betti_table_taylor",
@@ -23,7 +23,7 @@ _EXPORTS = {
                 "has_colon_splitting_order", "is_lq_ordering", "restrict_lq_ordering"),
     "monomials": ("BoundVector", "Monomial", "MonomialIdeal", "degree",
                   "is_bounded", "support"),
-    "polymatroid": ("exchange_witness", "is_equigenerated", "is_matroidal", "is_polymatroidal"),
+    "polymatroid": ("is_equigenerated", "is_matroidal", "is_polymatroidal"),
     "powers": ("bounded_power", "bounded_power_chain", "delta", "delta_bmatching",
                "squarefree_power"),
     "suites": ("SUITE_NAMES", "SuiteConfig", "VerificationReport", "run_suite"),

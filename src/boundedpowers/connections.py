@@ -43,20 +43,6 @@ from .monomials import (
 )
 
 
-def is_valid_even_connection(
-    graph: Graph, edges: Sequence[Edge], a: int, b: int, path: Sequence[int]
-) -> bool:
-    """Whether ``path`` is an even-connection walk from a to b: an even number
-    of at least four vertices, each step a graph edge, and interior pairs that
-    take each edge of the multiset ``edges`` at most its multiplicity."""
-    if len(path) < 4 or len(path) % 2 or path[0] != a or path[-1] != b:
-        return False
-    if any(p == q or not graph.has_edge(p, q) for p, q in zip(path, path[1:])):
-        return False
-    used = Counter(normalize_edge(path[k], path[k + 1]) for k in range(1, len(path) - 1, 2))
-    return not used - Counter(normalize_edge(*e) for e in edges)
-
-
 def _edge_counts(graph: Graph, edges: Sequence[Edge]) -> dict[Edge, int]:
     """An edge sequence as its sorted multiplicity map; raises ValueError on a
     pair that is not a graph edge."""
@@ -148,7 +134,7 @@ def edge_factorization(graph: Graph, u: Monomial) -> dict[Edge, int] | None:
     smallest multiset.  The depth is the number of edges, not deg(u) / 2.  The
     sorted edges at a vertex come in the order of its neighbors, so the edge to
     its largest neighbor is its last one, and must take all that is left there:
-    that edge has one choice only, and no branch ends with anything left.
+    that edge has one choice only, and every complete branch factors u.
     """
     u = _check_monomial(graph.n, u)
     if sum(u) % 2:
@@ -178,9 +164,8 @@ def edge_factorization(graph: Graph, u: Monomial) -> dict[Edge, int] | None:
         remaining[i] -= m
         remaining[j] -= m
         chosen.append(m)
-    # only a vertex on no edge can have anything left, on every branch
-    if any(remaining):
-        return None
+    # nothing is left: each vertex's last edge took the rest there, and the
+    # neighbour-sum check refused a positive exponent on a vertex on no edge
     return {e: m for e, m in zip(edges, chosen) if m}
 
 

@@ -159,8 +159,10 @@ def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line (optional `>>graph6<<` header tolerated).
 
     Decoding is bit-exact: byte values, payload length, and zero padding are
-    all enforced, so parse/emit round-trips on valid corpus lines.  Only ASCII
-    whitespace is stripped, and offsets count from the start of ``line``.
+    all enforced, so parse/emit round-trips on valid corpus lines.  Each pair
+    whose ``_graph6_slot`` bit is set is an edge, written into the edgeless
+    ``_graph6_frame`` as ``to_graph6`` does; any other set bit is padding.
+    Only ASCII whitespace is stripped; offsets count from the start of ``line``.
     """
     text = line.lstrip(_ASCII_SPACE)
     base = len(line) - len(text)
@@ -188,27 +190,19 @@ def parse_graph6(line: str) -> Graph:
         idx = 1
     if n < 1:
         raise Graph6Error("graph6 line encodes an empty vertex set", base)
-    npairs = n * (n - 1) // 2
-    need = (npairs + 5) // 6
+    need = (n * (n - 1) // 2 + 5) // 6
     if len(data) - idx != need:
-        raise Graph6Error(
-            f"payload length {len(data) - idx} != expected {need} for n={n}",
-            base + min(idx + need, len(data)),
-        )
-    bits: list[int] = []
-    for k in range(need):
-        value = data[idx + k] - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    for k in range(npairs, len(bits)):
-        if bits[k]:
-            raise Graph6Error("nonzero padding bits", base + idx + k // 6)
-    edges = set()
-    pos = 0
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            if bits[pos]:
-                edges.add((i, j))
-            pos += 1
+        raise Graph6Error(f"payload length {len(data) - idx} != expected {need} for n={n}",
+                          base + min(idx + need, len(data)))
+    written = _graph6_frame(n)[0]
+    edges = []
+    for i, j in combinations(range(1, n + 1), 2):
+        at, value = _graph6_slot(i, j)
+        if (data[idx + at] - 63) & value:
+            written[idx + at] += value
+            edges.append((i, j))
+    if written != data:  # padding bits sit in the last byte
+        raise Graph6Error("nonzero padding bits", base + len(data) - 1)
     return Graph(n, frozenset(edges))
 
 

@@ -10,27 +10,6 @@ def is_equigenerated(ideal: MonomialIdeal) -> bool:
     return len({degree(g) for g in ideal.gens}) <= 1
 
 
-def exchange_witness(
-    ideal: MonomialIdeal, u_idx: int, v_idx: int, i: int
-) -> int | None:
-    """The smallest j (1-based) with u_j < v_j and x_j * u / x_i a generator.
-
-    Requires u, v generators of the ideal and deg_{x_i}(u) > deg_{x_i}(v).
-    Returns None when no exchange variable exists.
-    """
-    gens = ideal.gens
-    if not (0 <= u_idx < len(gens) and 0 <= v_idx < len(gens)):
-        raise ValueError("generator index out of range")
-    u, v = gens[u_idx], gens[v_idx]
-    if not 1 <= i <= ideal.n or u[i - 1] <= v[i - 1]:
-        raise ValueError(f"exchange requires deg_x{i}(u) > deg_x{i}(v)")
-    genset = set(gens)
-    for j in range(1, ideal.n + 1):
-        if u[j - 1] < v[j - 1] and _exchanged(u, i - 1, j - 1) in genset:
-            return j
-    return None
-
-
 def _exchanged(u: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
     """x_j * u / x_i, with 0-based i and j."""
     w = list(u)
@@ -63,4 +42,3 @@ def is_polymatroidal(ideal: MonomialIdeal) -> bool:
 def is_matroidal(ideal: MonomialIdeal) -> bool:
     """Polymatroidal with every generator squarefree."""
     return all(max(g, default=0) <= 1 for g in ideal.gens) and is_polymatroidal(ideal)
-

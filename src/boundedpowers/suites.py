@@ -551,11 +551,6 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _evaluate_instance(args: tuple[str, dict, SuiteConfig]) -> list[dict]:
-    suite, payload, cfg = args
-    return _SUITES[suite].evaluate(payload, cfg)
-
-
 def _isomorphism_classes(forms: list[tuple | None]) -> list[list[int]]:
     """Instance indices grouped by equal canonical form, in order of first
     appearance; an instance without a form is a class of its own."""
@@ -572,17 +567,17 @@ def _isomorphism_classes(forms: list[tuple | None]) -> list[list[int]]:
 
 
 def _evaluate(cfg: SuiteConfig, payloads: list[dict]) -> list[list[dict]]:
-    work = [(cfg.suite, payload, cfg) for payload in payloads]
+    evaluate = _SUITES[cfg.suite].evaluate
     # the fork start method starts every worker at the first submit
-    workers = min(cfg.jobs, len(work), os.cpu_count() or 1)
+    workers = min(cfg.jobs, len(payloads), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool module pulls in multiprocessing, which a
         # one-process run would pay for at every start
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_evaluate_instance, work, chunksize=8))
-    return [_evaluate_instance(item) for item in work]
+            return list(pool.map(evaluate, payloads, [cfg] * len(payloads), chunksize=8))
+    return [evaluate(payload, cfg) for payload in payloads]
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:

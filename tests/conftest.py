@@ -1,11 +1,13 @@
 """Fixtures and oracles shared across test modules."""
 
+from collections import Counter
 from itertools import groupby
 from operator import le
 
 import pytest
 
 from boundedpowers import powers
+from boundedpowers.graphs import normalize_edge
 
 
 @pytest.fixture
@@ -50,6 +52,33 @@ def minimal_gens(gens):
             same_degree = [u for u in same_degree if not any(all(map(le, v, u)) for v in lower)]
         kept.extend(same_degree)
     return tuple(sorted(kept))
+
+
+def is_valid_even_connection(graph, edges, a, b, path):
+    """Whether ``path`` is an even-connection walk from a to b: an even number
+    of at least four vertices, each step a graph edge, and interior pairs that
+    take each edge of the multiset ``edges`` at most its multiplicity.  The
+    witness checker for ``find_even_connection``."""
+    if len(path) < 4 or len(path) % 2 or path[0] != a or path[-1] != b:
+        return False
+    if any(p == q or not graph.has_edge(p, q) for p, q in zip(path, path[1:])):
+        return False
+    used = Counter(normalize_edge(path[k], path[k + 1]) for k in range(1, len(path) - 1, 2))
+    return not used - Counter(normalize_edge(*e) for e in edges)
+
+
+def exchange_witness(ideal, u_idx, v_idx, i):
+    """The smallest j (1-based) with u_j < v_j and x_j * u / x_i a generator,
+    or None, for generators u, v with deg_{x_i}(u) > deg_{x_i}(v): the
+    exchange condition for one triple, on tuples.  The oracle for
+    ``is_polymatroidal``, which checks every triple on bit masks."""
+    u, v = ideal.gens[u_idx], ideal.gens[v_idx]
+    assert u[i - 1] > v[i - 1], (u, v, i)
+    for j in range(1, ideal.n + 1):
+        exchanged = tuple(e - (k == i) + (k == j) for k, e in enumerate(u, 1))
+        if u[j - 1] < v[j - 1] and exchanged in ideal.gens:
+            return j
+    return None
 
 
 def matching_number(graph) -> int:

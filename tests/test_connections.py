@@ -24,14 +24,13 @@ from boundedpowers import (
     find_even_connection,
     has_colon_splitting_order,
     is_bounded,
-    is_valid_even_connection,
     path_graph,
 )
 from boundedpowers import linquot
 from boundedpowers.connections import _edge_counts, _even_walks
 from boundedpowers.linquot import _lq_pair_data
 from boundedpowers.graphs import normalize_edge
-from conftest import colon_mono
+from conftest import colon_mono, is_valid_even_connection
 
 
 def random_graph(rng, n):

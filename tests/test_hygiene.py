@@ -87,12 +87,7 @@ def test_no_dead_private_name():
 
 
 # public names that no src/ module or demo reads, each with the reason it stays
-UNREAD_PUBLIC_ALLOWLIST = {
-    "connections.py:is_valid_even_connection":
-        "the witness checker that tests use as an oracle for find_even_connection",
-    "polymatroid.py:exchange_witness":
-        "the per-triple exchange search that tests use as an oracle for is_polymatroidal",
-}
+UNREAD_PUBLIC_ALLOWLIST: dict[str, str] = {}
 
 
 def _public_definitions(node: ast.stmt) -> list[tuple[str, ast.AST]]:

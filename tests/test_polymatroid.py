@@ -3,8 +3,6 @@
 import random
 from itertools import combinations, combinations_with_replacement
 
-import pytest
-
 from boundedpowers import (
     Graph,
     MonomialIdeal,
@@ -14,14 +12,13 @@ from boundedpowers import (
     cycle_graph,
     delta,
     enumerate_labeled_graphs,
-    exchange_witness,
     find_lq_ordering,
     is_equigenerated,
     is_matroidal,
     is_polymatroidal,
     squarefree_power,
 )
-from conftest import matching_number
+from conftest import exchange_witness, matching_number
 
 REMARK_IDEAL = MonomialIdeal(5, [(1, 1, 1, 0, 0), (1, 0, 0, 1, 1)])
 TRIANGLE = complete_graph(3).edge_ideal()
@@ -48,12 +45,6 @@ class TestExchangeWitness:
         gens = list(REMARK_IDEAL.gens)
         u, v = gens.index((1, 1, 1, 0, 0)), gens.index((1, 0, 0, 1, 1))
         assert exchange_witness(REMARK_IDEAL, u, v, 2) is None
-
-    def test_precondition_violation(self):
-        with pytest.raises(ValueError):
-            exchange_witness(TRIANGLE, 0, 0, 1)
-        with pytest.raises(ValueError):
-            exchange_witness(TRIANGLE, 0, 1, 9)
 
 
 class TestIsPolymatroidal:

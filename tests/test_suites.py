@@ -2,11 +2,13 @@
 
 import json
 import random
+import sys
 
 import pytest
 
 import boundedpowers.suites as suites
-from boundedpowers import Graph, SuiteConfig, canon, cycle_graph, homology, path_graph, run_suite
+from boundedpowers import (Graph, MonomialIdeal, SuiteConfig, canon, cli, connections,
+                           cycle_graph, homology, path_graph, run_suite)
 from boundedpowers.suites import SUITE_NAMES
 
 GRAPH_SUITES = [name for name, suite in suites._SUITES.items() if suite.corpus == "graphs"]
@@ -65,12 +67,15 @@ def refusal(**options):
 
 def read_options(suite, **options):
     """``options`` without the fields ``suite`` does not read: the search cap
-    for a suite that does not search, and the c fields for squarefree-lq."""
+    for a suite that does not search, and the c fields for squarefree-lq, with
+    the seed when only the c policy would read it."""
     if suite not in SEARCHING:
         options.pop("max_generators", None)
     if suite == "squarefree-lq":
         for name in ("c_policy", "c_value", "c_explicit"):
             options.pop(name, None)
+        if "random_count" not in options:
+            options.pop("seed", None)
     return dict(suite=suite, **options)
 
 
@@ -322,8 +327,8 @@ class TestReports:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         base = dict(suite="deg2", nmax=3, c_policy="constant", c_value=2)
         serial = run_suite(SuiteConfig(**base)).to_json(with_timings=False)
@@ -488,6 +493,66 @@ class TestCounterexamplePath:
         assert record["instance"]["graph6"]
         assert json.dumps(report.to_dict())  # serializable with payloads
 
+    @staticmethod
+    def verify(capsys, argv):
+        """``boundedpowers verify ARGV``, in this process: the exit code and
+        the report."""
+        code = cli.main(["verify", *argv])
+        return code, json.loads(capsys.readouterr().out)
+
+    @staticmethod
+    def p3(tmp_path):
+        """Options for a corpus of P3 at c = 2.  Its delta is 2, so
+        banerjee-colon checks s = 1 and colon-reg checks s = 2."""
+        path = tmp_path / "P3.g6"
+        path.write_text("Bg\n")
+        return ["--graph6", str(path), "--c-policy", "constant", "--c-value", "2"]
+
+    def test_banerjee_colon_reports_a_missing_quadric(self, capsys, tmp_path, monkeypatch):
+        original = connections.colon_quadrics
+        monkeypatch.setattr(connections, "colon_quadrics", lambda graph, c, u: MonomialIdeal(
+            graph.n, original(graph, c, u).gens[:-1]))
+        code, report = self.verify(capsys, ["--suite", "banerjee-colon", *self.p3(tmp_path)])
+        assert code == 1
+        assert report["summary"] == {"pass": 0, "fail": 1, "skip": 0, "total": 1}
+        assert report["counterexamples"] == [{
+            "key": "Bg|2,2,2", "instance": {"graph6": "Bg", "c": [2, 2, 2]}, "s": 1,
+            "outcome": "fail",
+            "detail": 'u=[0, 1, 1] direct={"n": 3, "gens": [[0, 1, 1], [1, 1, 0]]} '
+                      'quadrics={"n": 3, "gens": [[0, 1, 1]]}'}]
+
+    def test_colon_reg_reports_a_regularity_above_the_bound(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # the check reads regularity from homology when it runs
+        original = homology.regularity
+        monkeypatch.setattr(homology, "regularity", lambda ideal, char=0: original(ideal, char) + 1)
+        code, report = self.verify(capsys, ["--suite", "colon-reg", *self.p3(tmp_path)])
+        assert code == 1
+        assert report["summary"] == {"pass": 0, "fail": 1, "skip": 0, "total": 1}
+        assert report["counterexamples"] == [{
+            "key": "Bg|2,2,2", "instance": {"graph6": "Bg", "c": [2, 2, 2]}, "s": 2,
+            "outcome": "fail", "detail": "u=[0, 1, 1] reg=3 bound=2"}]
+
+    def test_istanbul_reports_lost_linear_quotients(self, capsys, monkeypatch):
+        # an ordering for the ideal itself, none for any restriction of it
+        original = suites.find_lq_ordering
+
+        def find(ideal, *args):
+            if sys._getframe(1).f_code.co_name == "_eval_istanbul":
+                return None
+            return original(ideal, *args)
+
+        monkeypatch.setattr(suites, "find_lq_ordering", find)
+        code, report = self.verify(capsys, ["--suite", "istanbul", "--count", "1", "--seed", "3"])
+        assert code == 1
+        instance = {"index": 0, "ideal": {"n": 2, "gens": [[1, 2], [2, 0]]},
+                    "cs": [[[3, 2], [1, 0]], [[3, 3], [3, 1]], [[1, 1], [1, 0]]]}
+        assert report["summary"] == {"pass": 0, "fail": 3, "skip": 0, "total": 3}
+        assert report["counterexamples"] == [
+            {"key": f"ideal00000|c{t}", "instance": instance, "s": t, "outcome": "fail",
+             "detail": f"restriction to c={c} lost linear quotients"}
+            for t, c in enumerate(["3,2", "3,3", "1,1"])]
+
 
 def record_order(r):
     return (r["key"], -1 if r["s"] is None else r["s"])
@@ -496,8 +561,8 @@ def record_order(r):
 def reference_records(cfg):
     """Every instance of the corpus evaluated on its own, records flattened."""
     _, instances = suites._graph_corpus(cfg)
-    records = [r for payload in instances
-               for r in suites._evaluate_instance((cfg.suite, payload, cfg))]
+    evaluate = suites._SUITES[cfg.suite].evaluate
+    records = [r for payload in instances for r in evaluate(payload, cfg)]
     return sorted(records, key=record_order)
 
 
@@ -523,6 +588,7 @@ CORPORA = {
     "nmax4-c2": dict(nmax=4, **C2),
     "random-c": dict(random_count=40, random_nmax=5, seed=3, c_policy="random", c_value=2),
     "relabeled-g6": dict(c_policy="constant", c_value=2),
+    "nmax4-random-c": dict(nmax=4, c_policy="random", c_value=2, seed=5),
 }
 
 
