@@ -19,8 +19,8 @@ _EXPORTS = {
     "homology": ("betti_table", "betti_table_hochster", "betti_table_taylor",
                  "has_linear_resolution", "polarize", "rank_of_rows", "reduced_homology_ranks",
                  "regularity"),
-    "linquot": ("SearchCapExceeded", "all_bounded_powers_lq", "find_lq_ordering",
-                "has_colon_splitting_order", "is_lq_ordering", "restrict_lq_ordering"),
+    "linquot": ("SearchCapExceeded", "find_lq_ordering", "has_colon_splitting_order",
+                "is_lq_ordering", "restrict_lq_ordering"),
     "monomials": ("BoundVector", "Monomial", "MonomialIdeal", "degree",
                   "is_bounded", "support"),
     "polymatroid": ("is_equigenerated", "is_matroidal", "is_polymatroidal"),

@@ -13,15 +13,7 @@ search with some pairs met in advance.
 
 from __future__ import annotations
 
-from .graphs import Graph
-from .monomials import (
-    BoundVector,
-    MonomialIdeal,
-    _check_monomial,
-    degree,
-    is_bounded,
-)
-from .powers import bounded_power_chain
+from .monomials import BoundVector, MonomialIdeal, degree
 
 DEFAULT_GENERATOR_CAP = 24
 
@@ -185,28 +177,8 @@ def restrict_lq_ordering(
     among the kept ones.  Whether the induced ordering has linear quotients
     is for the caller to check, with ``is_lq_ordering(ideal.restrict(c), ...)``.
     """
-    c = _check_monomial(ideal.n, c)
+    rank = {g: k for k, g in enumerate(ideal.restrict(c).gens)}  # validates c first
     if not is_lq_ordering(ideal, order):
         raise ValueError("input is not a valid linear quotients ordering of the ideal")
-    rank: dict[int, int] = {}
-    for i, g in enumerate(ideal.gens):
-        if is_bounded(g, c):
-            rank[i] = len(rank)
-    return tuple(rank[i] for i in order if i in rank)
-
-
-def all_bounded_powers_lq(
-    graph: Graph, c: BoundVector, max_generators: int = DEFAULT_GENERATOR_CAP
-) -> bool:
-    """True iff (I(G)^s)_c has linear quotients for every s = 1..delta.
-
-    Requires every bound entry strictly positive; an empty s-range (edgeless
-    graph) is vacuously true.
-    """
-    c = _check_monomial(graph.n, c)
-    if any(ci == 0 for ci in c):
-        raise ValueError("all_bounded_powers_lq requires every c_i > 0")
-    for power in bounded_power_chain(graph.edge_ideal(), c):
-        if find_lq_ordering(power, max_generators) is None:
-            return False
-    return True
+    gens = ideal.gens
+    return tuple(rank[gens[i]] for i in order if gens[i] in rank)

@@ -39,7 +39,6 @@ from .graphs import Graph, labeled_graph6, parse_graph6, read_graph6_file
 from .linquot import (
     DEFAULT_GENERATOR_CAP,
     SearchCapExceeded,
-    all_bounded_powers_lq,
     find_lq_ordering,
     has_colon_splitting_order,
     is_lq_ordering,
@@ -61,10 +60,13 @@ C_POLICIES = tuple(_POLICY_READS)
 # reads random_nmax and seed
 _CORPUS_READS = {
     "graphs": ("nmax", "graph6_path", "random_count"),
-    "ideals": ("random_count", "random_nmax", "seed", "ideal_max_generators",
-               "ideal_max_exponent", "samples_per_instance"),
+    "ideals": ("random_count", "random_nmax", "seed"),
     "fixed": (),
 }
+
+# the shape of a random ideal instance (generators, exponents, bound
+# samples), fixed for every run and echoed into every report's config
+_IDEAL_CORPUS = {"ideal_max_generators": 6, "ideal_max_exponent": 2, "samples_per_instance": 3}
 
 
 class SuiteConfig(_Value):
@@ -81,7 +83,6 @@ class SuiteConfig(_Value):
         # bound; c_explicit a tuple of ints
         "c_policy": "ones", "c_value": 1, "c_explicit": None,
         "char": 0, "max_generators": DEFAULT_GENERATOR_CAP, "max_s": None, "jobs": 1,
-        "ideal_max_generators": 6, "ideal_max_exponent": 2, "samples_per_instance": 3,
     }
     _fields = ("suite", *DEFAULTS)
 
@@ -119,9 +120,7 @@ class SuiteConfig(_Value):
                 or self.c_policy == "explicit" and min(self.c_explicit) < floor):
             raise ValueError(f"suite {self.suite!r} needs every entry of c >= {floor}")
         # sizes and caps: a field the run does not read holds its default
-        for name in ("nmax", "random_count", "random_nmax", "ideal_max_generators",
-                     "ideal_max_exponent", "samples_per_instance", "max_generators", "max_s",
-                     "jobs"):
+        for name in ("nmax", "random_count", "random_nmax", "max_generators", "max_s", "jobs"):
             # a random graph has at least two vertices
             floor = 2 if name == "random_nmax" and suite.corpus == "graphs" else 1
             value = getattr(self, name)
@@ -264,11 +263,11 @@ def _class_keys(cfg: SuiteConfig, graphs: list[Graph] | None, instances: list[di
 
 def _random_ideal(rng: random.Random, cfg: SuiteConfig) -> MonomialIdeal:
     n = rng.randint(1, cfg.random_nmax)
-    count = rng.randint(1, cfg.ideal_max_generators)
+    top = _IDEAL_CORPUS["ideal_max_exponent"]
     gens = []
-    for _ in range(count):
+    for _ in range(rng.randint(1, _IDEAL_CORPUS["ideal_max_generators"])):
         while True:
-            g = tuple(rng.randint(0, cfg.ideal_max_exponent) for _ in range(n))
+            g = tuple(rng.randint(0, top) for _ in range(n))
             if any(g):
                 break
         gens.append(g)
@@ -278,12 +277,13 @@ def _random_ideal(rng: random.Random, cfg: SuiteConfig) -> MonomialIdeal:
 def _ideal_instances(cfg: SuiteConfig) -> list[dict]:
     rng = random.Random(cfg.seed)
     count = cfg.random_count if cfg.random_count is not None else 100
+    c_top = _IDEAL_CORPUS["ideal_max_exponent"] + 1  # a bound may exceed every exponent
     instances = []
     for idx in range(count):
         ideal = _random_ideal(rng, cfg)
         cs = []
-        for _ in range(cfg.samples_per_instance):
-            c = tuple(rng.randint(0, cfg.ideal_max_exponent + 1) for _ in range(ideal.n))
+        for _ in range(_IDEAL_CORPUS["samples_per_instance"]):
+            c = tuple(rng.randint(0, c_top) for _ in range(ideal.n))
             if cfg.suite == "istanbul":
                 c_small = tuple(rng.randint(0, x) for x in c)
                 cs.append([list(c), list(c_small)])
@@ -374,7 +374,9 @@ class _GraphSuite(NamedTuple):
 
 def _check_edge_lq(inst: _Instance, s: None) -> dict:
     rhs = inst.graph.complement().is_chordal()
-    lhs = all_bounded_powers_lq(inst.graph, inst.c, inst.cfg.max_generators)
+    # stops at the first level without an ordering or over the search cap
+    cap = inst.cfg.max_generators
+    lhs = all(find_lq_ordering(power, cap) is not None for power in inst.chain)
     return inst.record(lhs == rhs, f"all_powers_lq={lhs} complement_chordal={rhs}")
 
 
@@ -625,7 +627,7 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     summary = {outcome: sum(r["outcome"] == outcome for r in records)
                for outcome in ("pass", "fail", "skip")}
     summary["total"] = len(records)
-    config = {name: getattr(cfg, name) for name in cfg._fields}
+    config = {name: getattr(cfg, name) for name in cfg._fields} | _IDEAL_CORPUS
     clock.append(time.perf_counter())
     stages = {f"{name}_s": round(end - begin, 6) for name, begin, end
               in zip(("corpus", "classes", "evaluate", "assemble"), clock, clock[1:])}

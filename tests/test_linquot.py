@@ -9,7 +9,7 @@ import pytest
 from boundedpowers import (
     MonomialIdeal,
     SearchCapExceeded,
-    all_bounded_powers_lq,
+    SuiteConfig,
     bounded_power_chain,
     complete_graph,
     cycle_graph,
@@ -19,7 +19,9 @@ from boundedpowers import (
     is_lq_ordering,
     path_graph,
     restrict_lq_ordering,
+    run_suite,
 )
+from boundedpowers import suites
 from boundedpowers.linquot import _lq_pair_data, search_ordering
 from conftest import colon_mono
 
@@ -147,6 +149,14 @@ class TestRestrictOrdering:
         with pytest.raises(ValueError):
             restrict_lq_ordering(ideal, (2, 0, 1), (1, 1))
 
+    def test_bound_is_checked_before_the_ordering(self):
+        # (0, 2, 1) has no linear quotients, but the bound is refused first
+        ideal = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            restrict_lq_ordering(ideal, (0, 2, 1), (1, 1, 1))
+        with pytest.raises(ValueError, match="negative exponent"):
+            restrict_lq_ordering(ideal, (0, 2, 1), (1, -1))
+
     def test_order_is_always_checked(self):
         # no flag or wrapper lets an ordering without linear quotients through
         ideal = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
@@ -197,31 +207,48 @@ class TestRestrictOrdering:
             checked += 1
 
 
+def all_powers_lq(graph, c):
+    """Whether every level of the chain (I(G)^s)_c has linear quotients."""
+    chain = bounded_power_chain(graph.edge_ideal(), c)
+    return all(find_lq_ordering(power) is not None for power in chain)
+
+
 class TestAllBoundedPowersLQ:
+    """Every (I(G)^s)_c, s = 1..delta, has linear quotients iff the complement
+    of G is chordal: the statement the edge-lq suite checks on each chain."""
+
     def test_c4_true(self):
-        assert all_bounded_powers_lq(cycle_graph(4), (1, 1, 1, 1))
+        assert all_powers_lq(cycle_graph(4), (1, 1, 1, 1))
 
     def test_c5_false(self):
-        assert not all_bounded_powers_lq(cycle_graph(5), (1,) * 5)
+        assert not all_powers_lq(cycle_graph(5), (1,) * 5)
         assert not cycle_graph(5).complement().is_chordal()
 
-    def test_cap_refusal_keeps_order_and_message(self):
+    def test_cap_refusal_keeps_order_and_message(self, tmp_path, monkeypatch):
         # K4 at c = 2: the first power has 6 generators and passes; the second
         # has 19 and is refused with that count, before any later power
-        g = complete_graph(4)
-        with pytest.raises(SearchCapExceeded, match="19 generators > cap 10"):
-            all_bounded_powers_lq(g, (2,) * 4, max_generators=10)
+        sizes = []
+        original = suites.find_lq_ordering
 
-    def test_zero_component_rejected(self):
-        with pytest.raises(ValueError):
-            all_bounded_powers_lq(path_graph(3), (1, 0, 1))
+        def find(ideal, *args):
+            sizes.append(len(ideal.gens))
+            return original(ideal, *args)
+
+        monkeypatch.setattr(suites, "find_lq_ordering", find)
+        path = tmp_path / "k4.g6"
+        path.write_text(complete_graph(4).to_graph6() + "\n")
+        report = run_suite(SuiteConfig(suite="edge-lq", graph6_path=str(path),
+                                       c_policy="constant", c_value=2, max_generators=10))
+        assert [(r["outcome"], r["s"], r["detail"]) for r in report.records] == [
+            ("skip", None, "linear quotients search refused: 19 generators > cap 10")]
+        assert sizes == [6, 19]
 
     def test_equivalence_with_chordal_complement(self):
         for n in range(1, 5):
             for g in enumerate_labeled_graphs(n):
                 expected = g.complement().is_chordal()
-                assert all_bounded_powers_lq(g, (1,) * n) == expected
-                assert all_bounded_powers_lq(g, (2,) * n) == expected
+                assert all_powers_lq(g, (1,) * n) == expected
+                assert all_powers_lq(g, (2,) * n) == expected
 
 
 class TestPairTable:

@@ -396,8 +396,7 @@ class TestValueObjects:
         (lambda: SuiteConfig(suite="remark45"),
          "SuiteConfig(suite='remark45', nmax=None, graph6_path=None, random_count=None, "
          "random_nmax=5, seed=0, c_policy='ones', c_value=1, c_explicit=None, char=0, "
-         "max_generators=24, max_s=None, jobs=1, ideal_max_generators=6, "
-         "ideal_max_exponent=2, samples_per_instance=3)"),
+         "max_generators=24, max_s=None, jobs=1)"),
         (lambda: VerificationReport({}, [], [], {"fail": 0}),
          "VerificationReport(config={}, records=[], counterexamples=[], summary={'fail': 0}, "
          "timings={})"),

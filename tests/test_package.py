@@ -23,8 +23,8 @@ EXPORTS = {
     "homology": ["betti_table", "betti_table_hochster", "betti_table_taylor",
                  "has_linear_resolution", "polarize", "rank_of_rows", "reduced_homology_ranks",
                  "regularity"],
-    "linquot": ["SearchCapExceeded", "all_bounded_powers_lq", "find_lq_ordering",
-                "has_colon_splitting_order", "is_lq_ordering", "restrict_lq_ordering"],
+    "linquot": ["SearchCapExceeded", "find_lq_ordering", "has_colon_splitting_order",
+                "is_lq_ordering", "restrict_lq_ordering"],
     "monomials": ["BoundVector", "Monomial", "MonomialIdeal", "degree",
                   "is_bounded", "support"],
     "polymatroid": ["is_equigenerated", "is_matroidal", "is_polymatroidal"],
@@ -54,6 +54,12 @@ def test_one_name_loads_its_module_and_what_that_imports():
         "boundedpowers", "boundedpowers.monomials"]
 
 
+def test_linquot_loads_monomials_alone():
+    # the search reads ideals only; graphs and chains are its callers' business
+    assert loaded_after("import boundedpowers.linquot") == [
+        "boundedpowers", "boundedpowers.linquot", "boundedpowers.monomials"]
+
+
 @pytest.mark.parametrize("module, name", HOMES)
 def test_name_is_its_home_modules_object(module, name):
     home = importlib.import_module(f"boundedpowers.{module}")
@@ -61,7 +67,7 @@ def test_name_is_its_home_modules_object(module, name):
 
 
 def test_all_lists_the_names_and_no_submodule():
-    assert len(HOMES) == 44
+    assert len(HOMES) == 43
     assert sorted(boundedpowers.__all__) == sorted(name for _, name in HOMES)
     assert not set(boundedpowers.__all__) & set(SUBMODULES)
 

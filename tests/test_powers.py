@@ -9,7 +9,6 @@ import pytest
 from boundedpowers import (
     Graph,
     MonomialIdeal,
-    all_bounded_powers_lq,
     bounded_power,
     bounded_power_chain,
     colon_quadrics,
@@ -187,12 +186,6 @@ class TestNesting:
 
 class TestChainReuse:
     """Each helper builds the bounded-power chain at most once per call."""
-
-    def test_all_bounded_powers_lq_builds_one_chain(self, level_builds):
-        for g in (cycle_graph(4), cycle_graph(5), complete_graph(4), path_graph(5)):
-            level_builds.clear()
-            all_bounded_powers_lq(g, (2,) * g.n)
-            assert len(level_builds) == 1
 
     def test_bounded_power_of_the_unit_ideal_builds_no_chain(self, level_builds):
         # every power of the unit ideal is the unit ideal, whatever s is

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+from operator import le
 
 import pytest
 
@@ -19,8 +20,7 @@ C2 = dict(c_policy="constant", c_value=2)
 SEARCHING = {"edge-lq", "squarefree-lq", "rfirst"}  # max_generators
 HOMOLOGY = {"linres-top", "regcol", "colon-reg", "regmain"}  # char
 S_RANGE = {"rfirst", "regcol", "deg2", "banerjee-colon", "colon-reg", "regmain"}  # max_s
-IDEAL_READS = {"random_count", "random_nmax", "seed", "ideal_max_generators",
-               "ideal_max_exponent", "samples_per_instance", "max_generators"}
+IDEAL_READS = {"random_count", "random_nmax", "seed", "max_generators"}
 POLICY_READS = {"ones": set(), "constant": {"c_value"}, "random": {"c_value", "seed"},
                 "explicit": {"c_explicit"}}
 CORPUS_SOURCES = {"nmax", "graph6_path", "random_count"}
@@ -51,8 +51,7 @@ def spec_reads(suite, options):
 OTHER_VALUE = {
     "nmax": 3, "graph6_path": "g.g6", "random_count": 2, "random_nmax": 4, "seed": 5,
     "c_policy": "constant", "c_value": 2, "c_explicit": (1, 2), "char": 3,
-    "max_generators": 10, "max_s": 2, "jobs": 2, "ideal_max_generators": 4,
-    "ideal_max_exponent": 3, "samples_per_instance": 2,
+    "max_generators": 10, "max_s": 2, "jobs": 2,
 }
 
 
@@ -106,6 +105,12 @@ class TestConfig:
     def test_all_suites_registered(self):
         assert set(SUITE_NAMES) == set(suites._SUITES)
 
+    def test_every_field_is_a_verify_flag(self):
+        # a field no flag sets is a knob no caller can turn
+        verify = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
+        dests = {action.dest for action in verify._actions} - {"suite", "out", "help"}
+        assert dests == SuiteConfig.DEFAULTS.keys()
+
     @pytest.mark.parametrize("max_s", [0, -3])
     def test_nonpositive_max_s_rejected(self, max_s):
         with pytest.raises(ValueError, match="max_s must be >= 1"):
@@ -137,25 +142,18 @@ class TestConfig:
         ("essen", dict(random_nmax=0), "random_nmax", 2),
         ("boston", dict(random_nmax=0), "random_nmax", 1),
         ("istanbul", dict(random_nmax=-1), "random_nmax", 1),
-        ("boston", dict(ideal_max_generators=0), "ideal_max_generators", 1),
-        ("boston", dict(ideal_max_exponent=0), "ideal_max_exponent", 1),
-        ("istanbul", dict(ideal_max_exponent=-2), "ideal_max_exponent", 1),
-        ("boston", dict(samples_per_instance=0), "samples_per_instance", 1),
     ])
     def test_random_corpus_size_out_of_domain(self, suite, options, field, floor):
-        # exponent 0 would loop forever on the zero generator, 0 generators
-        # would fail inside random, 0 samples would drop every record, and a
-        # random graph needs two vertices
+        # a random ideal needs one variable, and a random graph two vertices
         with pytest.raises(ValueError, match=f"{field} must be >= {floor}, got "):
             SuiteConfig(suite=suite, random_count=3, **options)
 
     def test_random_corpus_sizes_at_their_floor(self):
         report = run_suite(SuiteConfig(suite="regmain", random_count=4, random_nmax=2, **C2))
         assert {len(r["instance"]["c"]) for r in report.records} == {2}
-        report = run_suite(SuiteConfig(suite="boston", random_count=5, random_nmax=1,
-                                       ideal_max_generators=1, ideal_max_exponent=1,
-                                       samples_per_instance=1))
-        assert report.summary["total"] == 5 and report.failed == 0
+        report = run_suite(SuiteConfig(suite="boston", random_count=5, random_nmax=1))
+        assert {r["instance"]["ideal"]["n"] for r in report.records} == {1}
+        assert report.failed == 0
 
     @pytest.mark.parametrize("corpus", [
         dict(nmax=3, random_count=2),
@@ -295,6 +293,16 @@ class TestReports:
         assert outcomes["A_|1,1"] == "pass"
         assert report.summary["fail"] == 0
 
+    @pytest.mark.parametrize("suite", ["boston", "edge-lq"])
+    def test_config_echoes_the_ideal_corpus_shape(self, suite):
+        # every suite echoes the fixed shape of a random ideal, which the
+        # pinned reports hold
+        config = run_suite(SuiteConfig(suite=suite, random_count=2)).config
+        assert config.keys() == {*SuiteConfig._fields, "ideal_max_generators",
+                                 "ideal_max_exponent", "samples_per_instance"} - {"jobs"}
+        assert (config["ideal_max_generators"], config["ideal_max_exponent"],
+                config["samples_per_instance"]) == (6, 2, 3)
+
     def test_deterministic_across_jobs(self):
         base = dict(suite="deg2", nmax=3, c_policy="constant", c_value=2)
         serial = run_suite(SuiteConfig(jobs=1, **base))
@@ -414,6 +422,16 @@ class TestCorpora:
             entries = {x for r in report.records for x in r["instance"]["c"]}
             assert entries == set(range(low, 3))
 
+    def test_random_ideals_have_the_echoed_shape(self):
+        payloads = suites._ideal_instances(SuiteConfig(suite="istanbul", random_count=60, seed=1))
+        assert len(payloads) == 60
+        for payload in payloads:
+            gens = payload["ideal"]["gens"]
+            assert 1 <= len(gens) <= 6 and max(map(max, gens)) <= 2
+            assert len(payload["cs"]) == 3
+            for c, c_small in payload["cs"]:
+                assert max(c) <= 3 and all(map(le, c_small, c))
+
     def test_positive_suite_rejects_zero_constant(self):
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(suite="edge-lq", nmax=2, c_policy="constant", c_value=0))
@@ -532,6 +550,36 @@ class TestCounterexamplePath:
         assert report["counterexamples"] == [{
             "key": "Bg|2,2,2", "instance": {"graph6": "Bg", "c": [2, 2, 2]}, "s": 2,
             "outcome": "fail", "detail": "u=[0, 1, 1] reg=3 bound=2"}]
+
+    def test_edge_lq_reports_a_level_without_linear_quotients(self, capsys, monkeypatch):
+        # the check searches the instance's own chain through suites' binding
+        monkeypatch.setattr(suites, "find_lq_ordering", lambda ideal, *args: None)
+        code, report = self.verify(capsys, ["--suite", "edge-lq", "--nmax", "3",
+                                            "--c-policy", "constant", "--c-value", "2"])
+        assert code == 1
+        # every graph on up to 3 vertices has a chordal complement; only the
+        # three edgeless ones, with an empty chain, still pass
+        assert report["summary"] == {"pass": 3, "fail": 8, "skip": 0, "total": 11}
+        assert {r["detail"] for r in report["counterexamples"]} == {
+            "all_powers_lq=False complement_chordal=True"}
+
+    def test_edge_lq_stops_at_the_first_level_without_an_ordering(self, tmp_path, monkeypatch):
+        # C5 is self-complementary and not chordal, and its edge ideal itself
+        # has no linear quotients, so no later level is searched
+        sizes = []
+        original = suites.find_lq_ordering
+
+        def find(ideal, *args):
+            sizes.append(len(ideal.gens))
+            return original(ideal, *args)
+
+        monkeypatch.setattr(suites, "find_lq_ordering", find)
+        path = tmp_path / "c5.g6"
+        path.write_text(cycle_graph(5).to_graph6() + "\n")
+        report = run_suite(SuiteConfig(suite="edge-lq", graph6_path=str(path), **C2))
+        assert [(r["outcome"], r["detail"]) for r in report.records] == [
+            ("pass", "all_powers_lq=False complement_chordal=False")]
+        assert sizes == [5]
 
     def test_istanbul_reports_lost_linear_quotients(self, capsys, monkeypatch):
         # an ordering for the ideal itself, none for any restriction of it
