@@ -255,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.command} {args.op} requires --{flag}")
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, SearchCapExceeded) as exc:
+    except (ValueError, OSError, SearchCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # a crash must not exit 1, which means a counterexample

@@ -31,14 +31,15 @@ reduced H_k(complex) = H_k(complex, st v) in every degree.  Equivalently,
 F <-> F | {v} is an acyclic matching with no gradient paths to correct, so its
 Morse complex is the relative chain complex (Forman, Morse theory for cell
 complexes, Adv. Math. 1998; Joellenbeck-Welker, Minimal resolutions via
-algebraic discrete Morse theory, Mem. AMS 2009).  ``betti_table`` takes v in
-the most facets, keeps as cells the faces of the facets without v that lie
-in no facet with v, and drops every boundary entry that lands in the star.
-The empty face is in the star, so there is no augmentation: the boundary of
-the vertex level has rank 0.  A complex with no cell is a cone, and a point
-whose only facet is the empty face is a generator, worth one beta_0.  No
-tuple face is built on this path; tuple faces, closed downward by
-``reduced_homology_ranks``, serve the restriction-complex route.
+algebraic discrete Morse theory, Mem. AMS 2009).  ``betti_table`` takes for
+v a vertex of a largest facet (any vertex gives the same homology), and as
+cells the faces of the facets without v less those of the link, the facets
+with v less v: a face without v lies in a facet G holding v iff it lies in
+G - v.  Boundary entries that land in the star are dropped.  The empty face is
+in the star, so there is no augmentation, and a complex with no cell is a
+cone.  A generator's one facet is the empty face, with no vertex, so on the
+same path its one cell is the empty face, worth one beta_0.  No tuple face is
+built here; ``reduced_homology_ranks`` closes those for restriction complexes.
 """
 
 from __future__ import annotations
@@ -229,23 +230,19 @@ def betti_table(ideal: MonomialIdeal, char: int = 0) -> dict[tuple[int, int], in
         raise ValueError("the zero ideal has no Betti table")
     check_characteristic(char)
     packing, gens = ideal._packed
-    w = packing.width
-    vertices = [1 << (k * w + w - 1) for k in range(ideal.n)]  # guard bits
     table: dict[tuple[int, int], int] = {}
     for m in _packed_lattice(packing, gens):
         facets = _koszul_facets(packing, gens, m)
         j = degree(packing.unpack(m))
-        if facets == {0}:
-            table[(0, j)] = table.get((0, j), 0) + 1  # m is a generator
-            continue
-        # cells: the faces outside the star of v, the vertex in the most facets
-        v = max(vertices, key=lambda b: len([f for f in facets if f & b]))
-        cells = _faces(f for f in facets if not f & v) - _faces(f for f in facets if f & v)
+        # cells: the faces outside the star of v, a vertex of a largest facet
+        # (0 at a generator); the faces without v less those of its link
+        big = max(facets, key=int.bit_count)
+        v = big & -big
+        cells = _faces(f for f in facets if not f & v) - _faces(f ^ v for f in facets if f & v)
         by_size: dict[int, list[int]] = {}
         for f in cells:
             by_size.setdefault(f.bit_count(), []).append(f)
-        # no cells at all is a cone; a level with no cells below it (the
-        # vertices, at least, as the empty face is in the star) has rank 0
+        # no cells at all is a cone; a level with no cells below it has rank 0
         ranks = {k: rank_of_rows(_mask_boundary_rows(level, cells), char)
                  for k, level in by_size.items() if k - 1 in by_size}
         for k, level in by_size.items():

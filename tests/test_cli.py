@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import boundedpowers.cli as cli
+from boundedpowers import homology
 from boundedpowers.cli import main
 
 REMARK_IDEAL_JSON = '{"n": 5, "gens": [[1,1,1,0,0],[1,0,0,1,1]]}'
@@ -438,6 +439,17 @@ class TestErrorHandling:
         code, out, err = run(capsys, ["verify", "--suite", "remark45"])
         assert code == 3 and out == ""
         assert "Traceback" in err and type(crash).__name__ in err
+
+    def test_a_key_error_is_a_crash_not_a_usage_error(self, capsys, monkeypatch):
+        # every reader refuses bad input with ValueError, so a KeyError is a
+        # fault and must not pass as exit 2 with no traceback
+        def regularity(ideal, char=0):
+            raise KeyError("x")
+
+        monkeypatch.setattr(homology, "regularity", regularity)
+        code, out, err = run(capsys, ["verify", "--suite", "regmain", "--nmax", "2"])
+        assert code == 3 and out == ""
+        assert "Traceback" in err and "KeyError: 'x'" in err
 
     def test_keyboard_interrupt_is_not_caught(self, monkeypatch):
         def run_suite(config):

@@ -16,10 +16,12 @@ from math import comb
 import pytest
 
 from boundedpowers import (
+    Graph,
     MonomialIdeal,
     betti_table,
     betti_table_hochster,
     betti_table_taylor,
+    bounded_power_chain,
     complete_graph,
     cycle_graph,
     degree,
@@ -404,6 +406,36 @@ def non_maximal_facet_points(ideal):
     return points
 
 
+def tied_facet_points(ideal):
+    """The lcm-lattice points whose upper Koszul complex has two largest
+    facets, so that set order picks the star vertex's facet."""
+    packing, gens = ideal._packed
+    points = []
+    for m in lattice_points(ideal):
+        sizes = sorted(f.bit_count() for f in _koszul_facets(packing, gens, packing.pack(m)))
+        if sizes[-2:-1] == sizes[-1:]:
+            points.append(m)
+    return points
+
+
+def chain_colon_ideals(rng, count):
+    """Colon ideals (I^(s+1))_c : u, u a generator of (I^s)_c, over the chains
+    of edge ideals of random graphs on 3-6 vertices with c in {1, 2, 3}^n: the
+    ideals whose regularity ``regcol`` and ``colon-reg`` take.  At most 12
+    generators each, so the subset-resolution route stays quick."""
+    ideals = []
+    while len(ideals) < count:
+        n = rng.randint(3, 6)
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.5]
+        c = tuple(rng.randint(1, 3) for _ in range(n))
+        chain = bounded_power_chain(Graph.from_edges(n, edges).edge_ideal(), c)
+        for current, nxt in zip(chain, chain[1:]):
+            colon = nxt.colon(rng.choice(current.gens))
+            if len(colon.gens) <= 12:
+                ideals.append(colon)
+    return ideals
+
+
 class TestVertexStar:
     """``betti_table`` takes homology relative to the star of one vertex.
     Facets that are not maximal hide a cone from a test for a vertex shared
@@ -435,6 +467,20 @@ class TestVertexStar:
                 if found == 25:
                     break
         assert found == 25, f"{found} of 600 draws have a non-maximal facet, not 25"
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_chain_colons_and_tied_facets_match_taylor(self, char):
+        # one path serves every point: a generator's one facet is the empty
+        # face, with no vertex, and the chain colons mix such points with the
+        # rest; where two facets tie for largest, either may give the vertex
+        rng = random.Random(151 + char)
+        colons = chain_colon_ideals(rng, 60)
+        drawn = [random_ideal(rng, nmax=5, max_gens=6, max_exp=3) for _ in range(100)]
+        tied = [ideal for ideal in colons + drawn if tied_facet_points(ideal)]
+        assert sum(len(ideal.gens) > 1 for ideal in colons) >= 40
+        assert len(tied) >= 60, f"{len(tied)} ideals with a tied largest facet"
+        for ideal in colons + drawn:
+            assert betti_table(ideal, char) == betti_table_taylor(ideal, char), ideal.gens
 
 
 class TestRegularity:
